@@ -1,7 +1,16 @@
 // Micro-benchmarks of the LRA solvers at the covariance sizes rank clipping
-// actually eigen-solves (the fan-out M of each paper layer).
-#include <benchmark/benchmark.h>
+// actually eigen-solves (the fan-out M of each paper layer). The randomized
+// SVD shapes micro_gemm already times (800x64, 2048x512) are not repeated.
+//
+// Emits BENCH_linalg.json (seconds per case) into the working directory and
+// prints the same table to stdout — the same bench_util scaffolding as
+// micro_hw. Pass --smoke for a few-rep CI run.
+#include <cstdio>
+#include <cstring>
+#include <string>
+#include <vector>
 
+#include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "linalg/eigen.hpp"
 #include "linalg/lra.hpp"
@@ -10,7 +19,7 @@
 #include "linalg/svd.hpp"
 #include "tensor/matrix.hpp"
 
-namespace gs::linalg {
+namespace gs::bench {
 namespace {
 
 Tensor random_matrix(std::size_t r, std::size_t c, std::uint64_t seed) {
@@ -20,70 +29,108 @@ Tensor random_matrix(std::size_t r, std::size_t c, std::uint64_t seed) {
   return t;
 }
 
-void BM_JacobiEigen(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Tensor a = matmul(random_matrix(n, n, 1), random_matrix(n, n, 1),
-                          /*ta=*/true);
-  for (auto _ : state) {
-    const EigenResult e = eigen_sym(a);
-    benchmark::DoNotOptimize(e.eigenvalues.data());
-  }
-}
-BENCHMARK(BM_JacobiEigen)->Arg(20)->Arg(50)->Arg(64)->Arg(128);
+struct Dims {
+  std::size_t rows, cols;
+};
 
-void BM_SvdThin(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto m = static_cast<std::size_t>(state.range(1));
-  const Tensor a = random_matrix(n, m, 2);
-  for (auto _ : state) {
-    const SvdResult s = svd(a);
-    benchmark::DoNotOptimize(s.singular_values.data());
-  }
+std::string dims(std::size_t r, std::size_t c) {
+  return std::to_string(r) + "x" + std::to_string(c);
 }
-BENCHMARK(BM_SvdThin)
-    ->Args({500, 50})   // LeNet conv2 weight
-    ->Args({800, 64})   // ConvNet conv3 weight
-    ->Args({64, 64});
 
-void BM_PcaFactorize(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto m = static_cast<std::size_t>(state.range(1));
-  const Tensor w = random_matrix(n, m, 3);
-  for (auto _ : state) {
-    const PcaResult p = pca(w, m / 2);
-    benchmark::DoNotOptimize(p.u.data());
-  }
+BenchRecord timed(const std::string& name, const std::string& shape,
+                  double seconds) {
+  BenchRecord rec;
+  rec.name = name;
+  rec.label("shape", shape);
+  rec.metric("seconds", seconds);
+  std::printf("%-22s %-16s %10.6fs\n", name.c_str(), shape.c_str(), seconds);
+  return rec;
 }
-BENCHMARK(BM_PcaFactorize)->Args({500, 50})->Args({800, 64});
-
-void BM_RandomizedSvd(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto m = static_cast<std::size_t>(state.range(1));
-  const auto k = static_cast<std::size_t>(state.range(2));
-  const Tensor a = random_matrix(n, m, 5);
-  for (auto _ : state) {
-    const SvdResult s = randomized_svd(a, k);
-    benchmark::DoNotOptimize(s.singular_values.data());
-  }
-}
-// Same shapes as BM_SvdThin plus the rank — the speed-vs-exactness
-// comparison for large-layer clipping.
-BENCHMARK(BM_RandomizedSvd)
-    ->Args({500, 50, 12})
-    ->Args({800, 64, 22})
-    ->Args({2048, 512, 32});
-
-void BM_ClipToError(benchmark::State& state) {
-  // The inner operation of Algorithm 2 line 6 at LeNet conv2 size.
-  const Tensor w = random_matrix(500, 50, 4);
-  for (auto _ : state) {
-    const LraResult r = clip_to_error(w, LraMethod::kPca, 0.03);
-    benchmark::DoNotOptimize(r.rank);
-  }
-}
-BENCHMARK(BM_ClipToError);
 
 }  // namespace
-}  // namespace gs::linalg
+}  // namespace gs::bench
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  using namespace gs;
+  using namespace gs::bench;
+  using namespace gs::linalg;
+
+  bool smoke = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
+  }
+  const int reps = smoke ? 3 : 15;
+
+  section(smoke ? "micro_linalg (smoke): LRA solvers"
+                : "micro_linalg: LRA solvers");
+  std::vector<BenchRecord> records;
+
+  for (const std::size_t n : {20, 50, 64, 128}) {
+    const Tensor a = matmul(random_matrix(n, n, 1), random_matrix(n, n, 1),
+                            /*ta=*/true);
+    const double s = time_median_seconds(
+        [&] {
+          volatile double v = eigen_sym(a).eigenvalues[0];
+          (void)v;
+        },
+        reps);
+    records.push_back(
+        timed("jacobi_eigen_" + std::to_string(n), dims(n, n), s));
+  }
+
+  // LeNet conv2 weight, ConvNet conv3 weight, a crossbar-sized square.
+  for (const Dims d : {Dims{500, 50}, Dims{800, 64}, Dims{64, 64}}) {
+    const std::size_t n = d.rows;
+    const std::size_t m = d.cols;
+    const Tensor a = random_matrix(n, m, 2);
+    const double s = time_median_seconds(
+        [&] {
+          volatile double v = svd(a).singular_values[0];
+          (void)v;
+        },
+        reps);
+    records.push_back(timed("svd_thin_" + dims(n, m), dims(n, m), s));
+  }
+
+  for (const Dims d : {Dims{500, 50}, Dims{800, 64}}) {
+    const std::size_t n = d.rows;
+    const std::size_t m = d.cols;
+    const Tensor w = random_matrix(n, m, 3);
+    const double s = time_median_seconds(
+        [&] {
+          volatile float v = pca(w, m / 2).u[0];
+          (void)v;
+        },
+        reps);
+    records.push_back(timed("pca_" + dims(n, m),
+                            dims(n, m) + " rank " + std::to_string(m / 2), s));
+  }
+
+  {
+    const Tensor a = random_matrix(500, 50, 5);
+    const double s = time_median_seconds(
+        [&] {
+          volatile double v = randomized_svd(a, 12).singular_values[0];
+          (void)v;
+        },
+        reps);
+    records.push_back(timed("rsvd_500x50_k12", "500x50 rank 12", s));
+  }
+
+  {
+    // The inner operation of Algorithm 2 line 6 at LeNet conv2 size.
+    const Tensor w = random_matrix(500, 50, 4);
+    const double s = time_median_seconds(
+        [&] {
+          volatile std::size_t rank =
+              clip_to_error(w, LraMethod::kPca, 0.03).rank;
+          (void)rank;
+        },
+        reps);
+    records.push_back(timed("clip_to_error_pca", "500x50 eps 0.03", s));
+  }
+
+  write_bench_json("BENCH_linalg.json", "linalg", records);
+  note("\nwrote BENCH_linalg.json");
+  return 0;
+}

@@ -1,95 +1,107 @@
-// Micro-benchmarks of the tensor kernels (GEMM, transpose, im2col) at the
-// matrix shapes the paper networks actually produce.
-#include <benchmark/benchmark.h>
+// Micro-benchmarks of the tensor layout kernels (transpose, im2col, col2im)
+// at the shapes the paper networks actually produce. GEMM itself is
+// measured by micro_gemm.
+//
+// Emits BENCH_tensor.json (seconds plus derived throughput per case) into
+// the working directory and prints the same table to stdout — the same
+// bench_util scaffolding as micro_hw. Pass --smoke for a few-rep CI run.
+#include <cstdio>
+#include <cstring>
+#include <string>
+#include <vector>
 
+#include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/matrix.hpp"
 
-namespace gs {
+namespace gs::bench {
 namespace {
 
-Tensor random_matrix(std::size_t r, std::size_t c, std::uint64_t seed) {
+Tensor random_tensor(const Shape& shape, std::uint64_t seed) {
   Rng rng(seed);
-  Tensor t(Shape{r, c});
+  Tensor t(shape);
   t.fill_gaussian(rng, 0.0f, 1.0f);
   return t;
 }
 
-void BM_Gemm(benchmark::State& state) {
-  const auto m = static_cast<std::size_t>(state.range(0));
-  const auto k = static_cast<std::size_t>(state.range(1));
-  const auto n = static_cast<std::size_t>(state.range(2));
-  const Tensor a = random_matrix(m, k, 1);
-  const Tensor b = random_matrix(k, n, 2);
-  Tensor c(Shape{m, n});
-  for (auto _ : state) {
-    gemm(a, false, b, false, c);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2 *
-                          m * k * n);
-}
-// Shapes: LeNet fc1 batch, conv2 im2col product, ConvNet fc.
-BENCHMARK(BM_Gemm)
-    ->Args({32, 800, 500})   // LeNet fc1 forward (batch 32)
-    ->Args({576, 500, 50})   // LeNet conv2 im2col product
-    ->Args({1024, 75, 32})   // ConvNet conv1 product
-    ->Args({64, 64, 64});    // crossbar-sized block
-
-void BM_GemmTransposed(benchmark::State& state) {
-  const Tensor a = random_matrix(800, 32, 3);
-  const Tensor b = random_matrix(800, 500, 4);
-  Tensor c(Shape{32, 500});
-  for (auto _ : state) {
-    gemm(a, true, b, false, c);  // the backward dW = Xᵀ·dY pattern
-    benchmark::DoNotOptimize(c.data());
-  }
-}
-BENCHMARK(BM_GemmTransposed);
-
-void BM_Transpose(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Tensor a = random_matrix(n, n, 5);
-  for (auto _ : state) {
-    Tensor t = transposed(a);
-    benchmark::DoNotOptimize(t.data());
-  }
-}
-BENCHMARK(BM_Transpose)->Arg(64)->Arg(256)->Arg(800);
-
-void BM_Im2col(benchmark::State& state) {
-  // LeNet conv2 geometry: 20×12×12 input, 5×5 kernel.
+/// LeNet conv2 geometry: 20×12×12 input, 5×5 kernel.
+ConvGeometry lenet_conv2() {
   ConvGeometry g;
   g.in_channels = 20;
   g.in_height = g.in_width = 12;
   g.kernel_h = g.kernel_w = 5;
-  Rng rng(6);
-  Tensor img(Shape{20, 12, 12});
-  img.fill_gaussian(rng, 0.0f, 1.0f);
-  for (auto _ : state) {
-    Tensor cols = im2col(img, g);
-    benchmark::DoNotOptimize(cols.data());
-  }
+  return g;
 }
-BENCHMARK(BM_Im2col);
 
-void BM_Col2im(benchmark::State& state) {
-  ConvGeometry g;
-  g.in_channels = 20;
-  g.in_height = g.in_width = 12;
-  g.kernel_h = g.kernel_w = 5;
-  Rng rng(7);
-  Tensor cols(Shape{64, 500});
-  cols.fill_gaussian(rng, 0.0f, 1.0f);
-  for (auto _ : state) {
-    Tensor img = col2im(cols, g);
-    benchmark::DoNotOptimize(img.data());
-  }
+BenchRecord timed(const std::string& name, const std::string& shape,
+                  double seconds, std::size_t elements) {
+  BenchRecord rec;
+  rec.name = name;
+  rec.label("shape", shape);
+  rec.metric("seconds", seconds)
+      .metric("elements_per_second", static_cast<double>(elements) / seconds);
+  std::printf("%-20s %-14s %10.6fs  %8.1f Melem/s\n", name.c_str(),
+              shape.c_str(), seconds,
+              static_cast<double>(elements) / seconds * 1e-6);
+  return rec;
 }
-BENCHMARK(BM_Col2im);
 
 }  // namespace
-}  // namespace gs
+}  // namespace gs::bench
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  using namespace gs;
+  using namespace gs::bench;
+
+  bool smoke = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
+  }
+  const int reps = smoke ? 3 : 201;
+
+  section(smoke ? "micro_tensor (smoke): tensor layout kernels"
+                : "micro_tensor: tensor layout kernels");
+  std::vector<BenchRecord> records;
+
+  for (const std::size_t n : {64, 256, 800}) {
+    const Tensor a = random_tensor(Shape{n, n}, 5);
+    const double s = time_median_seconds(
+        [&] {
+          volatile float v = transposed(a)[0];
+          (void)v;
+        },
+        reps);
+    const std::string shape = std::to_string(n) + "x" + std::to_string(n);
+    records.push_back(timed("transpose_" + std::to_string(n), shape, s,
+                            a.numel()));
+  }
+
+  const ConvGeometry g = lenet_conv2();
+  {
+    const Tensor img = random_tensor(Shape{20, 12, 12}, 6);
+    std::size_t cells = 0;
+    const double s = time_median_seconds(
+        [&] {
+          const Tensor cols = im2col(img, g);
+          cells = cols.numel();
+        },
+        reps);
+    records.push_back(timed("im2col_lenet_conv2", "20x12x12 k5", s, cells));
+  }
+  {
+    const Tensor cols = random_tensor(Shape{64, 500}, 7);
+    const double s = time_median_seconds(
+        [&] {
+          volatile float v = col2im(cols, g)[0];
+          (void)v;
+        },
+        reps);
+    records.push_back(
+        timed("col2im_lenet_conv2", "64x500 k5", s, cols.numel()));
+  }
+
+  write_bench_json("BENCH_tensor.json", "tensor", records);
+  note("\nwrote BENCH_tensor.json");
+  return 0;
+}

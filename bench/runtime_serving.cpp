@@ -34,7 +34,7 @@
 //    reported as effective GFLOP/s at the dense nominal flop count
 //    (repack_parity_within_budget gates the digital parity);
 //  * serving_sharded — the sharded multi-replica server (placement-aware
-//    tile skipping ON) against the single-replica PR 3 serving path
+//    tile skipping ON) against a one-replica server of the same engine
 //    (no skipping) at EQUAL thread budget and equal load; a companion
 //    serving_sharded_same_skip record isolates the replica-overlap
 //    component (sharded vs single, both skipping — this needs more than
@@ -69,6 +69,7 @@
 #include <cstring>
 #include <future>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -113,11 +114,20 @@ Tensor slice_sample(const Tensor& batch, std::size_t index) {
   return s;
 }
 
+/// Config of a one-replica server (the plain batching server) with an
+/// executor pool of `threads` (0 = the global pool size).
+runtime::ShardConfig one_replica(const runtime::BatchingConfig& batching,
+                                 std::size_t threads = 0) {
+  runtime::ShardConfig config;
+  config.replicas = 1;
+  config.total_threads = threads;
+  config.batching = batching;
+  return config;
+}
+
 /// Wall-clock seconds of one closed-loop serving run: `clients` threads, each
-/// issuing `per_client` blocking requests. Works for both serving engines
-/// (BatchingServer and ShardedServer expose the same infer()).
-template <typename Server>
-double serve_closed_loop(Server& server, const Tensor& pool,
+/// issuing `per_client` blocking requests.
+double serve_closed_loop(runtime::ShardedServer& server, const Tensor& pool,
                          std::size_t clients, std::size_t per_client) {
   const auto start = std::chrono::steady_clock::now();
   std::vector<std::thread> workers;
@@ -139,8 +149,8 @@ double serve_closed_loop(Server& server, const Tensor& pool,
 /// server (stats accumulate across reps; the latency window covers them
 /// all). Single serving runs jitter ±20% on a shared vCPU, so the sharded
 /// comparisons take medians like every timed kernel in this suite.
-template <typename Server>
-double serve_closed_loop_median(Server& server, const Tensor& pool,
+double serve_closed_loop_median(runtime::ShardedServer& server,
+                                const Tensor& pool,
                                 std::size_t clients, std::size_t per_client,
                                 int reps) {
   std::vector<double> walls;
@@ -258,11 +268,12 @@ int main(int argc, char** argv) {
 
   double single_rps = 0.0;
   {
-    runtime::BatchingServer server(executor, production);
+    runtime::ShardedServer server(net, sample_shape, options,
+                                  one_replica(production));
     const double wall =
         serve_closed_loop(server, pool, 1, budget.single_requests);
     server.shutdown();
-    const runtime::ServerStats stats = server.stats();
+    const runtime::ServerStats stats = server.stats().aggregate;
     single_rps = static_cast<double>(budget.single_requests) / wall;
     BenchRecord rec;
     rec.name = "serving_single";
@@ -278,7 +289,8 @@ int main(int argc, char** argv) {
   {
     runtime::BatchingConfig config;
     config.max_batch = 1;  // queue.size() >= 1 ⇒ launch; no coalescing
-    runtime::BatchingServer server(executor, config);
+    runtime::ShardedServer server(net, sample_shape, options,
+                                  one_replica(config));
     const std::size_t total = budget.clients * budget.per_client;
     const double wall =
         serve_closed_loop(server, pool, budget.clients, budget.per_client);
@@ -293,12 +305,13 @@ int main(int argc, char** argv) {
                 static_cast<double>(total) / wall);
   }
   {
-    runtime::BatchingServer server(executor, production);
+    runtime::ShardedServer server(net, sample_shape, options,
+                                  one_replica(production));
     const std::size_t total = budget.clients * budget.per_client;
     const double wall =
         serve_closed_loop(server, pool, budget.clients, budget.per_client);
     server.shutdown();
-    const runtime::ServerStats stats = server.stats();
+    const runtime::ServerStats stats = server.stats().aggregate;
     const double rps = static_cast<double>(total) / wall;
     BenchRecord rec;
     rec.name = "serving_batched";
@@ -555,9 +568,9 @@ int main(int argc, char** argv) {
         parity ? "ok" : "FAIL");
   }
 
-  // --- Sharded serving: the new tier (2 replicas, placement-aware tile
-  // skipping) against the single-replica PR 3 path (no skipping) on the
-  // same deleted model, same closed-loop load, equal thread budget.
+  // --- Sharded serving: 2 replicas with placement-aware tile skipping
+  // against one replica without skipping on the same deleted model, same
+  // closed-loop load, equal thread budget.
   {
     const std::size_t thread_budget =
         std::max<std::size_t>(2, ThreadPool::global().size());
@@ -566,9 +579,8 @@ int main(int argc, char** argv) {
     // Baseline: one replica, thread budget in one pool, no tile skipping.
     double single_replica_rps = 0.0;
     {
-      ThreadPool pool_threads(thread_budget);
-      runtime::Executor exec(deleted_noskip, &pool_threads);
-      runtime::BatchingServer server(exec, production);
+      runtime::ShardedServer server(deleted, sample_shape, noskip_options,
+                                    one_replica(production, thread_budget));
       const double wall =
           serve_closed_loop_median(server, deleted_pool, budget.clients,
                                    budget.per_client, budget.reps);
@@ -578,9 +590,8 @@ int main(int argc, char** argv) {
     // Same skip setting as the sharded run, to isolate replica overlap.
     double single_replica_skip_rps = 0.0;
     {
-      ThreadPool pool_threads(thread_budget);
-      runtime::Executor exec(deleted_skip, &pool_threads);
-      runtime::BatchingServer server(exec, production);
+      runtime::ShardedServer server(deleted, sample_shape, skip_options,
+                                    one_replica(production, thread_budget));
       const double wall =
           serve_closed_loop_median(server, deleted_pool, budget.clients,
                                    budget.per_client, budget.reps);
@@ -608,7 +619,7 @@ int main(int argc, char** argv) {
                   std::to_string(server.threads_for_replica(0)) +
                   " threads, max_batch 32, 2ms deadline, tile skip on")
         .label("baseline", "single replica, " + std::to_string(thread_budget) +
-                               " threads, skip off (PR 3 serving path)");
+                               " threads, skip off");
     // Throughput is the median over budget.reps closed-loop runs; the
     // server's own counters therefore cover reps × requests_per_run.
     rec.metric("requests_per_run", static_cast<double>(total))
@@ -660,11 +671,13 @@ int main(int argc, char** argv) {
   //    the heavily-deleted model, tile skipping on vs off. The profile is a
   //    static program walk, so the skipped-tile count must equal the
   //    compile-time marks exactly.
-  //  * runtime_observability_overhead — the closed-loop drill with FULL
-  //    observability (metrics + every-request tracing) vs disabled on the
-  //    same executor, alternating runs so machine drift hits both arms
-  //    equally, median wall each. The acceptance budget is <= 3% throughput
-  //    cost; logits must stay bitwise identical either way.
+  //  * runtime_observability_overhead — the closed-loop drill with
+  //    every-request tracing vs tracing off on the same program,
+  //    alternating runs so machine drift hits both arms equally, median
+  //    wall each. Counting is always on in both arms (the registry is the
+  //    engine's counter store), so this prices tracing alone. The
+  //    acceptance budget is <= 3% throughput cost; logits must stay bitwise
+  //    identical either way.
   {
     const obs::ExecProfile with_skip = obs::profile_program(deleted_skip);
     const obs::ExecProfile no_skip = obs::profile_program(deleted_noskip);
@@ -719,42 +732,80 @@ int main(int argc, char** argv) {
       return hash;
     };
 
-    const runtime::Executor obs_exec(deleted_skip);
-    obs::Registry registry;
     runtime::BatchingConfig obs_on = production;
-    obs_on.observability.registry = &registry;
     obs_on.observability.trace_sample_every = 1;  // trace EVERY request
     obs_on.observability.trace_keep = 16;
-    runtime::BatchingConfig obs_off = production;
-    obs_off.observability.metrics = false;
-
-    runtime::BatchingServer lit(obs_exec, obs_on);
-    runtime::BatchingServer dark(obs_exec, obs_off);
+    const auto build_arms = [&](bool lit_first,
+                                std::optional<runtime::ShardedServer>& lit,
+                                std::optional<runtime::ShardedServer>& dark) {
+      const auto build_lit = [&] {
+        lit.emplace(deleted, sample_shape, skip_options, one_replica(obs_on));
+      };
+      const auto build_dark = [&] {
+        dark.emplace(deleted, sample_shape, skip_options,
+                     one_replica(production));
+      };
+      if (lit_first) {
+        build_lit();
+        build_dark();
+      } else {
+        build_dark();
+        build_lit();
+      }
+    };
 
     // Bitwise contract first (serial, so the checksums cover identical
     // request sets): observability may only observe.
-    std::uint64_t lit_checksum = 1469598103934665603ULL;
-    std::uint64_t dark_checksum = 1469598103934665603ULL;
-    for (std::size_t s = 0; s < 16; ++s) {
-      const Tensor sample = slice_sample(deleted_pool, s);
-      const Tensor a = lit.infer(sample);
-      const Tensor b = dark.infer(sample);
-      lit_checksum = fnv(lit_checksum, a.data(), a.numel() * sizeof(float));
-      dark_checksum = fnv(dark_checksum, b.data(), b.numel() * sizeof(float));
+    bool bitwise = true;
+    {
+      std::optional<runtime::ShardedServer> lit, dark;
+      build_arms(true, lit, dark);
+      std::uint64_t lit_checksum = 1469598103934665603ULL;
+      std::uint64_t dark_checksum = 1469598103934665603ULL;
+      for (std::size_t s = 0; s < 16; ++s) {
+        const Tensor sample = slice_sample(deleted_pool, s);
+        const Tensor a = lit->infer(sample);
+        const Tensor b = dark->infer(sample);
+        lit_checksum = fnv(lit_checksum, a.data(), a.numel() * sizeof(float));
+        dark_checksum =
+            fnv(dark_checksum, b.data(), b.numel() * sizeof(float));
+      }
+      bitwise = lit_checksum == dark_checksum;
     }
-    const bool bitwise = lit_checksum == dark_checksum;
 
-    // Overhead: alternating closed-loop pairs, median wall per arm. More
-    // pairs than the usual reps because the gate is a small (<=3%) delta.
-    constexpr int kPairs = 9;
+    // Overhead: alternating closed-loop pairs, median wall per arm. Many
+    // more pairs than the usual reps because the gate is a small (<=3%)
+    // delta; at 9 pairs a smoke run with tracing off in BOTH arms still
+    // read anywhere in -22%..+8%. Each pair runs on two fresh servers built
+    // in alternating order: two separately compiled servers differ by about
+    // 4% from construction order alone (again measured with tracing off in
+    // both arms), and alternating cancels that.
+    constexpr int kPairs = 31;
     const std::size_t total = budget.clients * budget.per_client;
     std::vector<double> lit_walls, dark_walls;
+    bool metrics_match = true;
+    std::uint64_t traced_requests = 0;
     for (int p = 0; p < kPairs; ++p) {
-      dark_walls.push_back(serve_closed_loop(dark, deleted_pool,
+      std::optional<runtime::ShardedServer> lit, dark;
+      build_arms(p % 2 == 0, lit, dark);
+      dark_walls.push_back(serve_closed_loop(*dark, deleted_pool,
                                              budget.clients,
                                              budget.per_client));
-      lit_walls.push_back(serve_closed_loop(lit, deleted_pool, budget.clients,
+      lit_walls.push_back(serve_closed_loop(*lit, deleted_pool,
+                                            budget.clients,
                                             budget.per_client));
+      // Registry/stats reconciliation: the exported completed count against
+      // the per-replica tallies.
+      lit->shutdown();
+      const runtime::ServerStats lit_stats = lit->stats().aggregate;
+      const std::uint64_t counted =
+          lit->registry()
+              .counter("gs_server_requests_total", "",
+                       obs::Labels{{"engine", "sharded"},
+                                   {"result", "completed"}})
+              .value();
+      metrics_match = metrics_match && counted == lit_stats.completed;
+      traced_requests += lit_stats.latency_samples_total;
     }
     std::sort(lit_walls.begin(), lit_walls.end());
     std::sort(dark_walls.begin(), dark_walls.end());
@@ -764,23 +815,11 @@ int main(int argc, char** argv) {
         static_cast<double>(total) / dark_walls[dark_walls.size() / 2];
     const double overhead_pct = 100.0 * (dark_rps - lit_rps) / dark_rps;
 
-    lit.shutdown();
-    dark.shutdown();
-    // Registry/stats reconciliation across everything the lit server did.
-    const runtime::ServerStats lit_stats = lit.stats();
-    const std::uint64_t counted =
-        registry
-            .counter("gs_server_requests_total", "",
-                     obs::Labels{{"engine", "batching"},
-                                 {"result", "completed"}})
-            .value();
-    const bool metrics_match = counted == lit_stats.completed;
-
     BenchRecord rec;
     rec.name = "runtime_observability_overhead";
     rec.label("mode", std::to_string(budget.clients) +
-                          " clients closed-loop, metrics + every-request "
-                          "tracing vs observability off, " +
+                          " clients closed-loop, every-request tracing vs "
+                          "tracing off (counting on in both), " +
                           std::to_string(kPairs) + " alternating pairs");
     rec.metric("throughput_enabled_rps", lit_rps)
         .metric("throughput_disabled_rps", dark_rps)
@@ -789,8 +828,7 @@ int main(int argc, char** argv) {
         .metric("overhead_within_budget", overhead_pct <= 3.0 ? 1.0 : 0.0)
         .metric("obs_bitwise_identical", bitwise ? 1.0 : 0.0)
         .metric("metrics_match_stats", metrics_match ? 1.0 : 0.0)
-        .metric("traced_requests",
-                static_cast<double>(lit_stats.latency_samples_total));
+        .metric("traced_requests", static_cast<double>(traced_requests));
     records.push_back(rec);
     std::printf(
         "runtime_observability       overhead: %.0f rps on vs %.0f rps off "

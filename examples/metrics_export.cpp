@@ -1,7 +1,7 @@
-// Serves a burst of requests through the batching engine with full
-// observability on, then writes the metrics registry to stdout in Prometheus
-// text exposition format (version 0.0.4) — and nothing else, so the output
-// can be piped straight into a scraper or the CI format checker
+// Serves a burst of requests through a one-replica serving engine with
+// request tracing on, then writes the engine's metrics registry to stdout in
+// Prometheus text exposition format (version 0.0.4) — and nothing else, so
+// the output can be piped straight into a scraper or the CI format checker
 // (scripts/check_metrics_export.py).
 //
 //   ./metrics_export | promtool check metrics   # (or the bundled checker)
@@ -10,7 +10,7 @@
 
 #include "nn/dense.hpp"
 #include "obs/metrics.hpp"
-#include "runtime/server.hpp"
+#include "runtime/shard.hpp"
 
 int main() {
   using namespace gs;
@@ -18,14 +18,12 @@ int main() {
   Rng rng(3);
   nn::Network net;
   net.add(std::make_unique<nn::DenseLayer>("fc", 64, 10, rng));
-  const runtime::CrossbarProgram program = runtime::compile(net, Shape{64});
-  const runtime::Executor executor(program);
 
-  obs::Registry registry;
-  runtime::BatchingConfig config;
-  config.observability.registry = &registry;
-  config.observability.trace_sample_every = 4;
-  runtime::BatchingServer server(executor, config);
+  runtime::ShardConfig config;
+  config.replicas = 1;
+  config.batching.observability.trace_sample_every = 4;
+  runtime::ShardedServer server(net, Shape{64}, runtime::CompileOptions{},
+                                config);
   for (std::uint64_t s = 0; s < 32; ++s) {
     Tensor sample(Shape{64});
     Rng sample_rng(100 + s);
@@ -34,6 +32,7 @@ int main() {
   }
   server.shutdown();
 
-  std::cout << registry.prometheus_text();
+  // No registry was configured, so the engine counted into its own.
+  std::cout << server.registry().prometheus_text();
   return 0;
 }

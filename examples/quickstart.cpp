@@ -21,7 +21,6 @@
 #include "nn/trainer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "runtime/server.hpp"
 #include "runtime/shard.hpp"
 
 int main() {
@@ -89,15 +88,17 @@ int main() {
             << program.stage_count() << " stages, accuracy "
             << runtime::evaluate(executor, test_set) << "\n";
 
-  //    Observability: a private metrics registry plus every-10th-request
-  //    tracing. Both only observe — logits are bitwise identical with them
-  //    on or off — and the execution profile prices one inference in the
-  //    paper's energy proxies (conversions, analog MVMs, skipped tiles).
-  obs::Registry registry;
-  runtime::BatchingConfig serve_config;
-  serve_config.observability.registry = &registry;
-  serve_config.observability.trace_sample_every = 10;
-  runtime::BatchingServer server(executor, serve_config);
+  //    The server is a one-replica ShardedServer compiling the same
+  //    program. Observability: the engine counts into its own metrics
+  //    registry, plus every-10th-request tracing. Both only observe —
+  //    logits are bitwise identical with tracing on or off — and the
+  //    execution profile prices one inference in the paper's energy proxies
+  //    (conversions, analog MVMs, skipped tiles).
+  runtime::ShardConfig serve_config;
+  serve_config.replicas = 1;
+  serve_config.batching.observability.trace_sample_every = 10;
+  runtime::ShardedServer server(net, test_set.sample_shape(),
+                                runtime::CompileOptions{}, serve_config);
   std::size_t agreement = 0;
   for (std::size_t i = 0; i < 20; ++i) {
     const data::Sample sample = test_set.get(i);
@@ -114,7 +115,7 @@ int main() {
             << profile.tiles_executed << " tiles executed ("
             << profile.tiles_skipped << " skipped)\n";
   std::cout << "metrics (prometheus excerpt):\n";
-  std::istringstream exposition(registry.prometheus_text());
+  std::istringstream exposition(server.registry().prometheus_text());
   std::string line;
   int shown = 0;
   while (std::getline(exposition, line) && shown < 5) {

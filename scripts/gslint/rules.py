@@ -69,8 +69,6 @@ RNG_ALLOWED = ("common/rng.hpp", "common/rng.cpp")
 THREAD_ALLOWED = (
     "common/thread_pool.hpp",
     "common/thread_pool.cpp",
-    "runtime/server.hpp",
-    "runtime/server.cpp",
     "runtime/shard.hpp",
     "runtime/shard.cpp",
 )

@@ -1,14 +1,15 @@
-// Pre-registered metric bundles for the serving engines.
+// Pre-registered metric bundles for the serving engine.
 //
 // Every serving metric NAME in the repo is registered in exactly one place —
 // serving_metrics.cpp — so the gslint `metric-name` rule can enforce the
 // naming pattern and single-registration statically, and the catalogue in
-// docs/OBSERVABILITY.md stays the single source of truth. BatchingServer and
-// ShardedServer construct one ServingMetrics per engine instance (label
-// engine="batching"/"sharded"); ShardedServer adds one ReplicaMetrics per
-// replica. Engine instances sharing a registry share children: counters
-// aggregate across instances, gauges are last-writer (tests wanting
-// isolation pass a private Registry via ObservabilityConfig).
+// docs/OBSERVABILITY.md stays the single source of truth. ShardedServer
+// constructs one ServingMetrics (label engine="sharded"), one FleetMetrics
+// and one ReplicaMetrics per replica slot; these bundles are its only
+// counter store for every event they name. Engine instances sharing a
+// registry share children: counters aggregate across instances (each
+// engine reads them against its construction-time baseline), gauges are
+// last-writer. By default every engine owns a private registry.
 //
 // Thread-safety: construction registers against the registry mutex; the
 // bundled references are lock-free afterwards (the Counter/Gauge/Histogram
@@ -64,9 +65,8 @@ struct ServingMetrics {
   void record_forward(const ExecProfile& per_sample, std::size_t batch);
 };
 
-/// Fleet-elasticity metrics (ShardedServer only — the autoscale controller's
-/// outputs; its INPUTS are the gs_server_queue_depth gauge and the deadline
-/// outcome counters above).
+/// Fleet-elasticity metrics — the autoscale controller's outputs (its inputs
+/// are the queue depth and the deadline/shed/rejected counters above).
 struct FleetMetrics {
   explicit FleetMetrics(Registry& registry);
 
@@ -76,7 +76,7 @@ struct FleetMetrics {
   Counter& drained;  ///< requests re-routed off a retiring replica
 };
 
-/// Per-replica fleet-lifecycle metrics (ShardedServer only). Health states
+/// Per-replica fleet-lifecycle metrics. Health states
 /// are exported numerically: 0 = healthy, 1 = degraded, 2 = quarantined.
 struct ReplicaMetrics {
   ReplicaMetrics(Registry& registry, std::size_t replica);

@@ -126,19 +126,17 @@ class Tracer {
 /// inline) — the quickstart's human view of a request's life.
 std::string render(const Trace& trace);
 
-/// Observability knobs shared by the serving engines (BatchingConfig and,
-/// through it, ShardConfig). Defaults keep metrics on (cheap: a handful of
-/// lock-free counter bumps per batch) and tracing off.
+/// Observability knobs of the serving engine (BatchingConfig and, through
+/// it, ShardConfig). Counting is always on; tracing defaults off.
 struct ObservabilityConfig {
-  /// Export serving/executor counters, gauges, and histograms.
-  bool metrics = true;
   /// Trace every N-th request id (0 = tracing off). Deterministic: the
   /// sampled set depends only on submit order.
   std::size_t trace_sample_every = 0;
   /// Completed traces retained by the server-owned tracer.
   std::size_t trace_keep = 64;
-  /// Registry to export to; nullptr = Registry::global(). Tests inject a
-  /// private registry for isolation.
+  /// Registry the engine counts into and exports through; nullptr = an
+  /// engine-owned registry (ShardedServer::registry()), so engines never mix
+  /// counts unless they are handed the same registry.
   Registry* registry = nullptr;
   /// External tracer to use instead of a server-owned one (nullptr = the
   /// server constructs its own when trace_sample_every > 0).

@@ -2,7 +2,7 @@
 //
 // The executor is stateless with respect to requests (forward() is const and
 // thread-safe), so one compiled program can serve many concurrent callers —
-// the serving engine (runtime/server.hpp) relies on this.
+// the serving engine (runtime/shard.hpp) relies on this.
 //
 // Parallelism & determinism: every crossbar stage is dispatched on the
 // gs::ThreadPool as independent (input-row block × tile column) tasks — the
@@ -56,7 +56,7 @@ struct ForwardTrace {
 };
 
 /// Thread-safety: forward() is const and safe from any number of threads
-/// (the serving engines share one executor across dispatchers); the only
+/// (a replica's dispatcher and its canary probes share one executor); the only
 /// mutator is set_thread_pool(), which must not race forward().
 /// Determinism: logits are bitwise identical at any pool size and invariant
 /// to batch composition (per-input-vector converter scales); a traced

@@ -198,7 +198,7 @@ struct FaultInjectionReport {
 
 /// A compiled network: the full tile schedule plus the shapes it serves.
 /// Immutable after compile() returns; safe to share across threads (the
-/// executor and the serving engines only read it).
+/// executor and the serving engine only read it).
 class CrossbarProgram {
  public:
   const std::vector<Step>& steps() const { return steps_; }

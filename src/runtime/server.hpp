@@ -1,38 +1,32 @@
-// Batched serving engine over a crossbar Executor.
+// Shared serving vocabulary: the coalescing / admission / per-request knobs,
+// the deadline-then-priority queue order, and the ServerStats counters.
+// ShardedServer (runtime/shard.hpp) is the serving engine; a one-replica
+// ShardedServer is the plain batching server.
 //
-// Concurrent callers submit single samples; a dedicated dispatch thread
-// coalesces the queue into batches — a batch launches as soon as
-// `max_batch` requests are waiting or the oldest request has waited
-// `max_delay` (the latency deadline), whichever comes first — runs one
-// batched Executor::forward, and completes every request's future with its
-// logits row. Because the executor's DAC scales are per input vector,
-// coalescing never changes a request's result: a sample returns bitwise the
-// same logits at any batch composition.
-//
-// Overload behaviour (the robustness layer):
-//  * the queue is kept in deadline-then-priority order (earlier deadline
+// Overload behaviour the knobs describe:
+//  * queues are kept in deadline-then-priority order (earlier deadline
 //    first; equal deadlines, higher priority first; ties FIFO), so batch
 //    formation serves the most urgent work first. Requests without
 //    deadlines queue behind dated ones in priority order.
-//  * the queue is bounded (`max_queue_depth`); a full queue rejects new
-//    work at submit — EXCEPT when the new request outranks the worst-ranked
+//  * queues are bounded (`max_queue_depth`); a full queue rejects new work
+//    at submit — EXCEPT when the new request outranks the worst-ranked
 //    queued request (request_outranks: latest deadline, then lowest
 //    priority), in which case the laggard is displaced (shed) in its
 //    favour. Overload therefore sheds the work most likely to miss anyway,
 //    not the most recent arrival.
 //  * requests may carry a deadline; with admission control enabled the
-//    server predicts the queueing delay from the current depth and rejects
-//    at submit any request it expects to miss — failing fast beats
-//    accepting work it will throw away.
+//    engine predicts the queueing delay from the target queue's depth and
+//    rejects at submit any request it expects to miss.
 //  * at batch formation, requests whose deadline has already passed are
-//    shed instead of executed (their futures reject immediately) — a
-//    late result is worthless, the batch slot is not.
+//    shed instead of executed — a late result is worthless, the batch slot
+//    is not.
 // Every rejected or shed future carries a std::runtime_error whose message
 // names the reason; no future is ever left dangling (see ServerStats).
 //
-// The server records per-request latency (submit → completion) and batch
-// sizes; stats() folds them into throughput-style aggregates and latency
-// percentiles for the serving bench (bench/runtime_serving.cpp).
+// Thread-safety: the free helpers are pure or lock-free (ewma_record);
+// LatencyWindow is not thread-safe and is guarded by its owner.
+// Determinism: ordering and percentile helpers are pure functions of their
+// inputs.
 #pragma once
 
 #include <atomic>
@@ -40,23 +34,22 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <future>
 #include <iterator>
-#include <memory>
-#include <thread>
 #include <vector>
 
-#include "common/annotations.hpp"
-#include "common/sync.hpp"
-#include "obs/serving_metrics.hpp"
 #include "obs/trace.hpp"
-#include "runtime/executor.hpp"
 
 namespace gs::runtime {
 
-/// Deadline-based admission control knobs, shared by BatchingServer and
-/// ShardedServer. Admission predicts the queueing delay of a new request
-/// from the target queue's depth,
+/// Absolute time representing "no deadline" (never expires).
+inline constexpr std::chrono::steady_clock::time_point kNoDeadline =
+    std::chrono::steady_clock::time_point::max();
+
+/// Latency samples each replica retains for its percentile window.
+inline constexpr std::size_t kLatencyWindow = 16384;
+
+/// Deadline-based admission control knobs. Admission predicts the queueing
+/// delay of a new request from the target queue's depth,
 ///     predicted_wait = ceil((depth + 1) / max_batch) · batch_cost,
 /// and rejects at submit when now + predicted_wait exceeds the request's
 /// deadline. `batch_cost` is `assumed_batch_cost` when set (fixed cost —
@@ -84,25 +77,22 @@ struct BatchingConfig {
   /// a later-deadline queued request — see the overload notes above).
   std::size_t max_queue_depth = 4096;
   AdmissionConfig admission;  ///< deadline admission control (default off)
-  /// Metrics/tracing knobs (obs/trace.hpp). Metrics are on by default (a
-  /// handful of lock-free counter bumps per batch); tracing defaults off.
+  /// Export registry and tracing knobs (obs/trace.hpp). Counting is always
+  /// on; tracing defaults off.
   obs::ObservabilityConfig observability;
 
   void validate() const;
 };
 
-/// Per-request serving options, shared by BatchingServer and ShardedServer.
-/// Queue order and displacement shedding are deadline-then-priority ordered
-/// (see request_outranks); the defaults make a request behave exactly like a
-/// plain submit(sample) call.
+/// Per-request serving options. Queue order and displacement shedding are
+/// deadline-then-priority ordered (see request_outranks); the defaults make a
+/// request behave exactly like a plain submit(sample) call.
 struct RequestOptions {
   /// Time allowed from submit to completion; 0 = none (the engine falls back
   /// to AdmissionConfig::default_deadline).
   std::chrono::microseconds deadline{0};
-  /// Tenant owning the request. ShardedServer enforces the per-tenant
-  /// inflight cap (ShardConfig::max_inflight_per_tenant) against it;
-  /// BatchingServer records it but applies no cap (single-engine serving has
-  /// no fairness surface).
+  /// Tenant owning the request; the per-tenant inflight cap
+  /// (ShardConfig::max_inflight_per_tenant) is enforced against it.
   std::uint64_t tenant = 0;
   /// Higher wins among equal deadlines — both for queue position and for
   /// choosing displacement victims under overload.
@@ -148,8 +138,7 @@ std::chrono::steady_clock::time_point oldest_enqueued(
 }
 
 /// Nearest-rank percentile — the ⌈q·n⌉-th smallest element of `sorted`
-/// (ascending); 0 when empty. Shared by the BatchingServer and ShardedServer
-/// stats folds.
+/// (ascending); 0 when empty.
 double latency_percentile(const std::vector<double>& sorted, double q);
 
 /// True when the nearest-rank percentile q over n samples degenerates to the
@@ -166,9 +155,8 @@ bool percentile_saturated(std::size_t n, double q);
 void ewma_record(std::atomic<double>& accumulator, double sample,
                  double alpha = 0.125);
 
-/// Bounded ring of the most recent latency samples — shared by the serving
-/// engines so both report identically-windowed percentiles. Not thread-safe;
-/// callers guard it with their stats mutex.
+/// Bounded ring of the most recent latency samples. Not thread-safe; callers
+/// guard it with their stats mutex.
 class LatencyWindow {
  public:
   explicit LatencyWindow(std::size_t capacity) : capacity_(capacity) {}
@@ -199,7 +187,7 @@ class LatencyWindow {
 };
 
 /// Serving counters; latency aggregates cover the most recent window of
-/// completed requests (BatchingServer::kLatencyWindow samples), so a
+/// completed requests (kLatencyWindow samples per replica), so a
 /// long-running server keeps bounded memory and stats() cost.
 /// Every submitted request lands in exactly one of completed / rejected /
 /// shed / failed — futures never dangle.
@@ -240,118 +228,6 @@ struct ServerStats {
   /// attainment is computed from (not the windowed tail percentiles).
   std::size_t deadline_hits = 0;
   std::size_t deadline_misses = 0;
-};
-
-/// Thread-safety: submit()/infer()/stats() are safe from any number of
-/// threads; shutdown() is idempotent and also runs in the destructor.
-/// submit() AFTER shutdown() returns an immediately-rejected future (not
-/// UB) — though calling any method on a destroyed server remains UB, as for
-/// every C++ object.
-/// Determinism: results inherit the Executor contract — a sample's logits
-/// are bitwise independent of batch composition, pool size, and coalescing
-/// timing; only the latency statistics are timing-dependent. Observability
-/// (metrics, deterministic request-id-keyed trace sampling, execution
-/// profiling) only observes: logits are bitwise identical with it on or off.
-class BatchingServer {
- public:
-  /// Starts the dispatch thread. `executor` is borrowed and must outlive the
-  /// server.
-  explicit BatchingServer(const Executor& executor, BatchingConfig config = {});
-  ~BatchingServer();
-
-  BatchingServer(const BatchingServer&) = delete;
-  BatchingServer& operator=(const BatchingServer&) = delete;
-
-  /// Enqueues one sample (the program's per-sample input shape) and returns
-  /// a future for its logits (rank-1, classes). The request carries
-  /// `config.admission.default_deadline`. A full queue, a shut-down server,
-  /// or a predicted deadline miss rejects: the future carries
-  /// std::runtime_error naming the reason.
-  std::future<Tensor> submit(Tensor sample);
-
-  /// As above with an explicit per-request deadline (time allowed from
-  /// submit to completion; 0 = none).
-  std::future<Tensor> submit(Tensor sample, std::chrono::microseconds deadline);
-
-  /// Full per-request surface: deadline, tenant id, priority. The queue and
-  /// displacement shedding order by (deadline, then priority); `tenant` is
-  /// recorded on the request but BatchingServer applies no per-tenant cap.
-  std::future<Tensor> submit(Tensor sample, const RequestOptions& options);
-
-  /// Blocking convenience: submit + get.
-  Tensor infer(const Tensor& sample);
-
-  /// Stops accepting work, drains the queue, joins the dispatch thread.
-  /// Idempotent; also run by the destructor. Queued requests still execute
-  /// (drain, not abort); expired ones are shed as usual.
-  void shutdown();
-
-  ServerStats stats() const;
-
-  /// The tracer sampling this server's requests (nullptr when tracing is
-  /// off) — completed span trees are read through it.
-  const obs::Tracer* tracer() const { return tracer_; }
-
-  /// Latency samples retained for the percentile window.
-  static constexpr std::size_t kLatencyWindow = 16384;
-
-  /// Absolute time representing "no deadline" (never expires).
-  static constexpr std::chrono::steady_clock::time_point kNoDeadline =
-      std::chrono::steady_clock::time_point::max();
-
- private:
-  struct Request {
-    Tensor sample;
-    std::promise<Tensor> promise;
-    std::chrono::steady_clock::time_point enqueued;
-    std::chrono::steady_clock::time_point deadline = kNoDeadline;
-    std::uint64_t tenant = 0;
-    int priority = 0;
-    std::uint64_t id = 0;  ///< submit-order id (trace sampling key)
-    std::shared_ptr<obs::Trace> trace;  ///< non-null when sampled
-    std::uint64_t queue_span = 0;       ///< open "queue" span id
-  };
-
-  void dispatch_loop();
-  void run_batch(std::vector<Request>& requests) GS_EXCLUDES(mutex_);
-  /// Rejects + finishes the traces of requests dropped before execution.
-  void finish_dropped(Request& request, const char* result) const;
-
-  const Executor* executor_;
-  BatchingConfig config_;
-  /// Per-sample energy-proxy profile of the (immutable) program, priced once
-  /// at construction (obs/exec_profile.hpp).
-  obs::ExecProfile profile_;
-  /// Registry-backed serving metrics (null when observability.metrics off).
-  std::unique_ptr<obs::ServingMetrics> metrics_;
-  std::unique_ptr<obs::Tracer> owned_tracer_;
-  obs::Tracer* tracer_ = nullptr;  ///< external or owned; null = no tracing
-  std::atomic<std::uint64_t> next_request_id_{1};
-
-  mutable Mutex mutex_;
-  CondVar queue_cv_;
-  std::deque<Request> queue_ GS_GUARDED_BY(mutex_);
-  bool stopping_ GS_GUARDED_BY(mutex_) = false;
-
-  mutable Mutex stats_mutex_;
-  std::size_t completed_ GS_GUARDED_BY(stats_mutex_) = 0;
-  std::size_t rejected_ GS_GUARDED_BY(stats_mutex_) = 0;
-  std::size_t admission_rejected_ GS_GUARDED_BY(stats_mutex_) = 0;
-  std::size_t shed_ GS_GUARDED_BY(stats_mutex_) = 0;
-  std::size_t failed_ GS_GUARDED_BY(stats_mutex_) = 0;
-  std::size_t batches_ GS_GUARDED_BY(stats_mutex_) = 0;
-  std::size_t max_batch_seen_ GS_GUARDED_BY(stats_mutex_) = 0;
-  std::size_t deadline_hits_ GS_GUARDED_BY(stats_mutex_) = 0;
-  std::size_t deadline_misses_ GS_GUARDED_BY(stats_mutex_) = 0;
-  LatencyWindow latencies_ GS_GUARDED_BY(stats_mutex_){kLatencyWindow};
-  /// Measured per-batch execution cost for admission prediction when
-  /// assumed_batch_cost is 0 (atomic: read by submit, written by the
-  /// dispatcher, no lock ordering entanglement).
-  std::atomic<double> ewma_batch_cost_us_{0.0};
-
-  Mutex join_mutex_;  ///< serializes shutdown()'s joinable-check + join
-  /// Started last in the constructor, joined by shutdown().
-  std::thread dispatcher_ GS_GUARDED_BY(join_mutex_);
 };
 
 }  // namespace gs::runtime

@@ -89,40 +89,30 @@ ShardedServer::ShardedServer(const nn::Network& net, const Shape& sample_shape,
   thread_split_ = split_thread_budget(budget, capacity_);
 
   const obs::ObservabilityConfig& obs_config = config_.batching.observability;
-  obs::Registry& registry = obs_config.registry != nullptr
-                                ? *obs_config.registry
-                                : obs::Registry::global();
-  if (obs_config.metrics) {
-    metrics_ = std::make_unique<obs::ServingMetrics>(registry, "sharded");
-    if (config_.autoscale.enabled) {
-      fleet_metrics_ = std::make_unique<obs::FleetMetrics>(registry);
-      fleet_metrics_->active_replicas.set(
-          static_cast<double>(config_.replicas));
-    }
-    replica_metrics_.reserve(capacity_);
-    for (std::size_t r = 0; r < capacity_; ++r) {
-      replica_metrics_.push_back(
-          std::make_unique<obs::ReplicaMetrics>(registry, r));
-      replica_metrics_.back()->health_state.set(
-          static_cast<double>(static_cast<int>(ReplicaHealth::kHealthy)));
-    }
+  registry_ = obs_config.registry;
+  if (registry_ == nullptr) {
+    owned_registry_ = std::make_unique<obs::Registry>();
+    registry_ = owned_registry_.get();
   }
-  if (metrics_ && config_.autoscale.enabled) {
-    // Registry children are cumulative across engine instances sharing a
-    // registry: baseline the controller's delta snapshots against the
-    // counters' CURRENT values, so the first tick measures THIS server's
-    // traffic, not the registry's history. (Benches/tests wanting full
-    // isolation pass a private Registry.)
-    MutexLock lock(autoscale_mutex_);
-    last_hits_ = metrics_->deadline_hits.value();
-    last_misses_ = metrics_->deadline_misses.value();
+  metrics_ = std::make_unique<obs::ServingMetrics>(*registry_, "sharded");
+  fleet_metrics_ = std::make_unique<obs::FleetMetrics>(*registry_);
+  fleet_metrics_->active_replicas.set(static_cast<double>(config_.replicas));
+  replica_metrics_.reserve(capacity_);
+  for (std::size_t r = 0; r < capacity_; ++r) {
+    replica_metrics_.emplace_back(*registry_, r);
+    replica_metrics_.back().health_state.set(
+        static_cast<double>(static_cast<int>(ReplicaHealth::kHealthy)));
   }
+  // A shared registry already holds other engines' counts: every read is
+  // relative to the values found here.
+  baseline_.fault_injections.assign(capacity_, 0);
+  baseline_.recalibrations.assign(capacity_, 0);
+  baseline_ = counts();
   if (obs_config.tracer != nullptr) {
     tracer_ = obs_config.tracer;
   } else if (obs_config.trace_sample_every > 0) {
     owned_tracer_ = std::make_unique<obs::Tracer>(
-        obs_config.trace_sample_every, obs_config.trace_keep,
-        obs_config.metrics ? &registry : nullptr);
+        obs_config.trace_sample_every, obs_config.trace_keep, registry_);
     tracer_ = owned_tracer_.get();
   }
 
@@ -246,21 +236,45 @@ void ShardedServer::finish_dropped(Request& request,
 }
 
 void ShardedServer::update_queue_gauges() const {
-  if (!metrics_) return;
   std::size_t total = 0;
   for (std::size_t r = 0; r < queues_.size(); ++r) {
     total += queues_[r].size();
-    replica_metrics_[r]->queue_depth.set(
+    replica_metrics_[r].queue_depth.set(
         static_cast<double>(queues_[r].size()));
   }
   metrics_->queue_depth.set(static_cast<double>(total));
 }
 
 void ShardedServer::record_health(std::size_t r, ReplicaHealth state) const {
-  if (!metrics_) return;
   const int index = static_cast<int>(state);
-  replica_metrics_[r]->health_state.set(static_cast<double>(index));
-  replica_metrics_[r]->transitions_to[static_cast<std::size_t>(index)]->inc();
+  replica_metrics_[r].health_state.set(static_cast<double>(index));
+  replica_metrics_[r].transitions_to[static_cast<std::size_t>(index)]->inc();
+}
+
+ShardedServer::Counts ShardedServer::counts() const {
+  const auto since = [](const obs::Counter& counter, std::uint64_t base) {
+    return counter.value() - base;
+  };
+  Counts c;
+  c.rejected = since(metrics_->rejected, baseline_.rejected);
+  c.admission_rejected =
+      since(metrics_->admission_rejected, baseline_.admission_rejected);
+  c.tenant_rejected =
+      since(metrics_->tenant_rejected, baseline_.tenant_rejected);
+  c.shed = since(metrics_->shed, baseline_.shed);
+  c.failed = since(metrics_->failed, baseline_.failed);
+  c.retried = since(metrics_->retries, baseline_.retried);
+  c.drained = since(fleet_metrics_->drained, baseline_.drained);
+  c.deadline_hits = since(metrics_->deadline_hits, baseline_.deadline_hits);
+  c.deadline_misses =
+      since(metrics_->deadline_misses, baseline_.deadline_misses);
+  for (std::size_t r = 0; r < capacity_; ++r) {
+    c.fault_injections.push_back(since(replica_metrics_[r].fault_injections,
+                                       baseline_.fault_injections[r]));
+    c.recalibrations.push_back(since(replica_metrics_[r].recalibrations,
+                                     baseline_.recalibrations[r]));
+  }
+  return c;
 }
 
 std::future<Tensor> ShardedServer::submit(Tensor sample) {
@@ -289,9 +303,8 @@ std::future<Tensor> ShardedServer::submit(Tensor sample,
   Request request;
   request.sample = std::move(sample);
   request.enqueued = std::chrono::steady_clock::now();
-  request.deadline = deadline.count() > 0
-                         ? request.enqueued + deadline
-                         : BatchingServer::kNoDeadline;
+  request.deadline =
+      deadline.count() > 0 ? request.enqueued + deadline : kNoDeadline;
   request.tenant = options.tenant;
   request.priority = options.priority;
   request.id = next_request_id_.fetch_add(1, std::memory_order_relaxed);
@@ -336,7 +349,7 @@ std::future<Tensor> ShardedServer::submit(Tensor sample,
       } else {
         std::deque<Request>& queue = queues_[target];
         if (config_.batching.admission.enabled &&
-            request.deadline != BatchingServer::kNoDeadline) {
+            request.deadline != kNoDeadline) {
           const double cost_us =
               config_.batching.admission.assumed_batch_cost.count() > 0
                   ? static_cast<double>(
@@ -394,31 +407,17 @@ std::future<Tensor> ShardedServer::submit(Tensor sample,
     }
   }
   if (have_displaced) {
-    {
-      MutexLock lock(stats_mutex_);
-      ++shed_;
-    }
-    if (metrics_) {
-      metrics_->shed.inc();
-      metrics_->inflight.add(-1.0);
-    }
+    metrics_->shed.inc();
+    metrics_->inflight.add(-1.0);
     finish_dropped(displaced, "displaced");
     displaced.promise.set_exception(std::make_exception_ptr(std::runtime_error(
         "ShardedServer: shed — displaced by an earlier-deadline request "
         "under overload")));
   }
   if (!reject_reason.empty()) {
-    {
-      MutexLock lock(stats_mutex_);
-      ++rejected_;
-      if (admission_miss) ++admission_rejected_;
-      if (tenant_miss) ++tenant_rejected_;
-    }
-    if (metrics_) {
-      metrics_->rejected.inc();
-      if (admission_miss) metrics_->admission_rejected.inc();
-      if (tenant_miss) metrics_->tenant_rejected.inc();
-    }
+    metrics_->rejected.inc();
+    if (admission_miss) metrics_->admission_rejected.inc();
+    if (tenant_miss) metrics_->tenant_rejected.inc();
     if (request.trace) request.trace->end_span(submit_span);
     finish_dropped(request,
                    admission_miss ? "admission_rejected" : "rejected");
@@ -426,7 +425,7 @@ std::future<Tensor> ShardedServer::submit(Tensor sample,
         std::make_exception_ptr(std::runtime_error(reject_reason)));
     return future;
   }
-  if (accepted && metrics_) metrics_->inflight.add(1.0);
+  if (accepted) metrics_->inflight.add(1.0);
   // All dispatchers share one cv: the owner must wake to coalesce, and idle
   // replicas must wake to re-evaluate their steal horizon.
   queue_cv_.notify_all();
@@ -467,11 +466,7 @@ FaultInjectionReport ShardedServer::inject_replica_faults(
     SharedWriterLock plock(replica.program_mutex);
     report = inject_faults(replica.program, config, label);
   }
-  {
-    MutexLock lock(stats_mutex_);
-    ++counters_[r].fault_injections;
-  }
-  if (metrics_) replica_metrics_[r]->fault_injections.inc();
+  replica_metrics_[r].fault_injections.inc();
   GS_LOG_DEBUG.field("replica", r)
           .field("faulty_tiles", report.faulty_tiles)
           .field("unskipped_tiles", report.unskipped_tiles)
@@ -512,7 +507,7 @@ CanaryProbe ShardedServer::probe_now(std::size_t r) {
     SharedReaderLock plock(replica.program_mutex);
     probe = replica.canary->probe(*replica.executor);
   }
-  if (metrics_) replica_metrics_[r]->probes.inc();
+  replica_metrics_[r].probes.inc();
   std::vector<Request> shed;
   std::size_t rerouted = 0;
   ReplicaHealth prev = ReplicaHealth::kHealthy;
@@ -557,13 +552,7 @@ CanaryProbe ShardedServer::probe_now(std::size_t r) {
             .field("shed", shed.size())
         << "replica health transition";
   }
-  if (rerouted > 0) {
-    {
-      MutexLock lock(stats_mutex_);
-      retried_ += rerouted;
-    }
-    if (metrics_) metrics_->retries.inc(rerouted);
-  }
+  if (rerouted > 0) metrics_->retries.inc(rerouted);
   shed_requests(shed,
                 "ShardedServer: shed — could not re-route off quarantined "
                 "replica");
@@ -596,11 +585,7 @@ bool ShardedServer::recalibrate_now(std::size_t r) {
     trackers_[r]->reset();
     health_[r] = ReplicaHealth::kHealthy;
   }
-  {
-    MutexLock lock(stats_mutex_);
-    ++counters_[r].recalibrations;
-  }
-  if (metrics_) replica_metrics_[r]->recalibrations.inc();
+  replica_metrics_[r].recalibrations.inc();
   if (prev != ReplicaHealth::kHealthy) {
     record_health(r, ReplicaHealth::kHealthy);
   }
@@ -643,14 +628,8 @@ void ShardedServer::shed_requests(std::vector<Request>& requests,
     MutexLock lock(mutex_);
     for (const Request& request : requests) release_tenant(request.tenant);
   }
-  {
-    MutexLock lock(stats_mutex_);
-    shed_ += requests.size();
-  }
-  if (metrics_) {
-    metrics_->shed.inc(requests.size());
-    metrics_->inflight.add(-static_cast<double>(requests.size()));
-  }
+  metrics_->shed.inc(requests.size());
+  metrics_->inflight.add(-static_cast<double>(requests.size()));
   for (Request& request : requests) {
     finish_dropped(request, "shed");
     request.promise.set_exception(
@@ -753,7 +732,7 @@ void ShardedServer::dispatch_loop(std::size_t self) {
           continue;
         }
         if (!queues_[self].empty()) {
-          // Own work: BatchingServer coalescing — launch when full, or when
+          // Own work: coalescing — launch when full, or when
           // the OLDEST request's coalescing deadline passes (with ranked
           // insertion the front is the most urgent, not the oldest). The
           // launch decision is made against the CURRENT queue; the wait
@@ -910,9 +889,9 @@ void ShardedServer::run_batch(std::size_t self, std::size_t victim,
       // Shared with other forwards/probes; excluded only by fault injection
       // and recalibration mutating this replica's program.
       SharedReaderLock plock(replica.program_mutex);
-      // Re-priced per batch (unlike BatchingServer): fault injection and
-      // recalibration change the program's skip flags mid-flight.
-      if (metrics_) profile = replica.executor->profile();
+      // Re-priced per batch: fault injection and recalibration change the
+      // program's skip flags mid-flight.
+      profile = replica.executor->profile();
       logits = replica.executor->forward(batch, forward_trace);
     }
     const std::size_t classes = logits.numel() / count;
@@ -927,7 +906,7 @@ void ShardedServer::run_batch(std::size_t self, std::size_t victim,
     std::size_t hits = 0;
     std::size_t misses = 0;
     for (const Request& request : requests) {
-      if (request.deadline == BatchingServer::kNoDeadline) continue;
+      if (request.deadline == kNoDeadline) continue;
       (finished <= request.deadline ? hits : misses) += 1;
     }
     {
@@ -937,29 +916,24 @@ void ShardedServer::run_batch(std::size_t self, std::size_t victim,
       ++counters.batches;
       if (victim != self) ++counters.stolen_batches;
       counters.max_batch_seen = std::max(counters.max_batch_seen, count);
-      deadline_hits_ += hits;
-      deadline_misses_ += misses;
       for (const Request& request : requests) {
         counters.latencies.record(std::chrono::duration<double, std::milli>(
                                       finished - request.enqueued)
                                       .count());
       }
     }
-    if (metrics_) {
-      metrics_->completed.inc(count);
-      metrics_->batches.inc();
-      if (victim != self) metrics_->batches_stolen.inc();
-      metrics_->batch_size.observe(static_cast<double>(count));
-      metrics_->inflight.add(-static_cast<double>(count));
-      metrics_->record_forward(profile, count);
-      if (hits > 0) metrics_->deadline_hits.inc(hits);
-      if (misses > 0) metrics_->deadline_misses.inc(misses);
-      for (const Request& request : requests) {
-        metrics_->latency_ms.observe(
-            std::chrono::duration<double, std::milli>(finished -
-                                                      request.enqueued)
-                .count());
-      }
+    metrics_->completed.inc(count);
+    metrics_->batches.inc();
+    if (victim != self) metrics_->batches_stolen.inc();
+    metrics_->batch_size.observe(static_cast<double>(count));
+    metrics_->inflight.add(-static_cast<double>(count));
+    metrics_->record_forward(profile, count);
+    if (hits > 0) metrics_->deadline_hits.inc(hits);
+    if (misses > 0) metrics_->deadline_misses.inc(misses);
+    for (const Request& request : requests) {
+      metrics_->latency_ms.observe(std::chrono::duration<double, std::milli>(
+                                       finished - request.enqueued)
+                                       .count());
     }
     // Tenant slots free BEFORE the promises are fulfilled: a client that
     // holds its result must be able to resubmit immediately without
@@ -990,14 +964,8 @@ void ShardedServer::run_batch(std::size_t self, std::size_t victim,
     }
   } catch (...) {
     const std::exception_ptr error = std::current_exception();
-    {
-      MutexLock lock(stats_mutex_);
-      failed_ += count;
-    }
-    if (metrics_) {
-      metrics_->failed.inc(count);
-      metrics_->inflight.add(-static_cast<double>(count));
-    }
+    metrics_->failed.inc(count);
+    metrics_->inflight.add(-static_cast<double>(count));
     if (config_.max_inflight_per_tenant > 0) {
       MutexLock lock(mutex_);
       for (const Request& request : requests) release_tenant(request.tenant);
@@ -1025,18 +993,19 @@ ShardStats ShardedServer::stats() const {
     health = health_;
     active = active_;
   }
+  const Counts counted = counts();
+  stats.aggregate.rejected = counted.rejected;
+  stats.aggregate.admission_rejected = counted.admission_rejected;
+  stats.aggregate.shed = counted.shed;
+  stats.aggregate.failed = counted.failed;
+  stats.aggregate.deadline_hits = counted.deadline_hits;
+  stats.aggregate.deadline_misses = counted.deadline_misses;
+  stats.retried = counted.retried;
+  stats.tenant_rejected = counted.tenant_rejected;
+  stats.drained = counted.drained;
   std::vector<double> all_latencies;
   {
     MutexLock lock(stats_mutex_);
-    stats.aggregate.rejected = rejected_;
-    stats.aggregate.admission_rejected = admission_rejected_;
-    stats.aggregate.shed = shed_;
-    stats.aggregate.failed = failed_;
-    stats.aggregate.deadline_hits = deadline_hits_;
-    stats.aggregate.deadline_misses = deadline_misses_;
-    stats.retried = retried_;
-    stats.tenant_rejected = tenant_rejected_;
-    stats.drained = drained_;
     stats.replicas.reserve(capacity_);
     for (std::size_t r = 0; r < capacity_; ++r) {
       const ReplicaCounters& counters = counters_[r];
@@ -1056,8 +1025,8 @@ ShardStats ShardedServer::stats() const {
       rs.latency_p99_ms = latency_percentile(latencies, 0.99);
       rs.health = health[r];
       rs.active = active[r] != 0;
-      rs.fault_injections = counters.fault_injections;
-      rs.recalibrations = counters.recalibrations;
+      rs.fault_injections = counted.fault_injections[r];
+      rs.recalibrations = counted.recalibrations[r];
 
       stats.aggregate.completed += rs.completed;
       stats.aggregate.batches += rs.batches;
@@ -1113,7 +1082,7 @@ bool ShardedServer::activate_replica(std::size_t r) {
     SharedReaderLock plock(replica.program_mutex);
     probe = replica.canary->probe(*replica.executor);
   }
-  if (metrics_) replica_metrics_[r]->probes.inc();
+  replica_metrics_[r].probes.inc();
   if (!probe.bitwise_clean) {
     // Reprogram from the pristine clone with the replica's original options
     // (same seed → bitwise the clean program), then re-probe.
@@ -1125,7 +1094,7 @@ bool ShardedServer::activate_replica(std::size_t r) {
       SharedReaderLock plock(replica.program_mutex);
       probe = replica.canary->probe(*replica.executor);
     }
-    if (metrics_) replica_metrics_[r]->probes.inc();
+    replica_metrics_[r].probes.inc();
     if (!probe.bitwise_clean) return false;
   }
   ReplicaHealth prev = ReplicaHealth::kHealthy;
@@ -1154,13 +1123,7 @@ void ShardedServer::retire_replica(std::size_t r) {
     drained = reroute_queue(r, shed, /*count_retry=*/false);
     update_queue_gauges();
   }
-  if (drained > 0) {
-    {
-      MutexLock lock(stats_mutex_);
-      drained_ += drained;
-    }
-    if (fleet_metrics_) fleet_metrics_->drained.inc(drained);
-  }
+  if (drained > 0) fleet_metrics_->drained.inc(drained);
   shed_requests(shed,
                 "ShardedServer: shed — could not re-route off a replica "
                 "retired by scale-down");
@@ -1178,6 +1141,8 @@ AutoscaleDecision ShardedServer::autoscale_tick_now() {
   decision.tick = ++tick_;
 
   // --- Sample the controller inputs at this tick. -------------------------
+  // Depth is summed from the queues, not read from the queue-depth gauge: a
+  // gauge shared through an injected registry is last-writer across engines.
   bool quarantined = false;
   std::size_t active = 0;
   std::size_t depth = 0;
@@ -1190,41 +1155,18 @@ AutoscaleDecision ShardedServer::autoscale_tick_now() {
       if (health_[r] == ReplicaHealth::kQuarantined) quarantined = true;
     }
   }
-  if (metrics_) {
-    // Consume the PR 8 observability signal when it is on: the engine
-    // queue-depth gauge equals the direct sum by the gauge invariant, so the
-    // decision is identical either way — but the controller exercises the
-    // production signal path.
-    depth = static_cast<std::size_t>(metrics_->queue_depth.value());
-  }
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::size_t shed_total = 0;
-  std::size_t rejected_total = 0;
-  {
-    MutexLock lock(stats_mutex_);
-    hits = deadline_hits_;
-    misses = deadline_misses_;
-    shed_total = shed_;
-    rejected_total = rejected_;
-  }
-  if (metrics_) {
-    // Same-by-invariant as the internal counters (asserted by the autoscale
-    // tests); preferred for the same reason as the depth gauge.
-    hits = metrics_->deadline_hits.value();
-    misses = metrics_->deadline_misses.value();
-  }
+  const Counts counted = counts();
   decision.queue_depth = depth;
   decision.active_replicas = active;
-  decision.deadline_hits_delta = hits - last_hits_;
-  decision.deadline_misses_delta = misses - last_misses_;
-  decision.shed_delta = shed_total - last_shed_;
-  decision.rejected_delta = rejected_total - last_rejected_;
+  decision.deadline_hits_delta = counted.deadline_hits - last_hits_;
+  decision.deadline_misses_delta = counted.deadline_misses - last_misses_;
+  decision.shed_delta = counted.shed - last_shed_;
+  decision.rejected_delta = counted.rejected - last_rejected_;
   decision.quarantine_hold = quarantined;
-  last_hits_ = hits;
-  last_misses_ = misses;
-  last_shed_ = shed_total;
-  last_rejected_ = rejected_total;
+  last_hits_ = counted.deadline_hits;
+  last_misses_ = counted.deadline_misses;
+  last_shed_ = counted.shed;
+  last_rejected_ = counted.rejected;
 
   // --- Decide (a pure function of the sampled inputs + streak state). -----
   if (quarantined) {
@@ -1294,18 +1236,16 @@ AutoscaleDecision ShardedServer::autoscale_tick_now() {
   }
 
   decision_log_.push_back(decision);
-  if (fleet_metrics_) {
-    if (decision.action == AutoscaleAction::kUp) {
-      fleet_metrics_->scale_ups.inc();
-    }
-    if (decision.action == AutoscaleAction::kDown) {
-      fleet_metrics_->scale_downs.inc();
-    }
-    std::size_t now_active = active;
-    if (decision.action == AutoscaleAction::kUp) ++now_active;
-    if (decision.action == AutoscaleAction::kDown) --now_active;
-    fleet_metrics_->active_replicas.set(static_cast<double>(now_active));
+  std::size_t now_active = active;
+  if (decision.action == AutoscaleAction::kUp) {
+    fleet_metrics_->scale_ups.inc();
+    ++now_active;
   }
+  if (decision.action == AutoscaleAction::kDown) {
+    fleet_metrics_->scale_downs.inc();
+    --now_active;
+  }
+  fleet_metrics_->active_replicas.set(static_cast<double>(now_active));
   GS_LOG_DEBUG.field("tick", decision.tick)
           .field("depth", decision.queue_depth)
           .field("active", decision.active_replicas)

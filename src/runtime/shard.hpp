@@ -14,11 +14,12 @@
 // ACTIVE replica (shortest-queue placement over replicas not quarantined).
 // Requests may carry deadlines; admission control (AdmissionConfig) rejects
 // predicted misses at submit, full queues shed by deadline priority, and
-// expired requests are shed at batch formation — the BatchingServer overload
-// semantics, per replica. Each replica's dispatcher coalesces its own queue
-// into batches; an idle replica additionally WORK-STEALS ripe foreign work
-// (a full batch, or past-coalescing-deadline requests), which never launches
-// a request earlier than the single-replica server would.
+// expired requests are shed at batch formation — the overload semantics of
+// runtime/server.hpp, per replica. With `replicas = 1` and autoscaling off
+// this is the plain batching server. Each replica's dispatcher coalesces its
+// own queue into batches; an idle replica additionally WORK-STEALS ripe
+// foreign work (a full batch, or past-coalescing-deadline requests), which
+// never launches a request earlier than the single-replica server would.
 //
 // Fault-tolerance loop (see runtime/health.hpp for the state machine):
 //  * inject_replica_faults(r, config) mutates replica r's program in place
@@ -46,12 +47,11 @@
 // traffic replay"): the server provisions CAPACITY for max_replicas but
 // activates only `replicas` at start. A controller — run by the maintenance
 // thread each probe tick, or manually via autoscale_tick_now() — samples
-// queue depth and deadline-SLO attainment (from the PR 8 metrics registry
-// when metrics are on, the internal counters otherwise) and scales the
-// active set between min_replicas and max_replicas. Scale-up compiles the
-// next replica slot on first use (seed = base + r·seed_stride) and admits it
-// through the same bitwise-clean canary gate quarantined replicas rejoin
-// through; scale-down retires the emptiest active replica, re-routing its
+// queue depth and deadline-SLO attainment (from the engine's registry
+// counters) and scales the active set between min_replicas and
+// max_replicas. Scale-up compiles the next replica slot on first use
+// (seed = base + r·seed_stride) and admits it through the same
+// bitwise-clean canary gate quarantined replicas rejoin through; scale-down retires the emptiest active replica, re-routing its
 // queued requests to the survivors (counted as `drained`, not as retries —
 // retirement is voluntary, not a fault). Every decision is a pure function
 // of the counters sampled at the tick and is appended to a replayable
@@ -66,13 +66,15 @@
 // hits its own cap and is rejected (gs_server_tenant_rejected_total) while
 // other tenants keep being placed.
 //
-// Observability (config.batching.observability): the shard exports the
+// Observability (config.batching.observability): the shard counts into the
 // engine="sharded" serving metrics plus per-replica lifecycle metrics
 // (gs_replica_* — queue depth, health state, probes, fault injections,
 // recalibrations, health transitions), and threads request traces through
 // placement, stealing (annotated on the batch span) and quarantine
 // re-routing (annotated on the queue span). Fleet events are logged with
-// structured fields at Debug level.
+// structured fields at Debug level. The registry is the engine's counter
+// store: with no registry configured the engine owns a private one
+// (registry()), so counting never depends on whether anything exports.
 //
 // Thread-safety: submit()/infer()/stats()/health()/probe_now()/
 // recalibrate_now()/inject_replica_faults()/autoscale_tick_now() are safe
@@ -85,7 +87,7 @@
 // realisations are pure functions of (config.seed, replica, tile); which
 // replica serves a request is scheduling-dependent and only observable when
 // replicas differ (nonideal device or faults). Tracing and metrics only
-// observe — logits are bitwise identical with observability on or off.
+// observe — logits are bitwise identical with tracing on or off.
 #pragma once
 
 #include <cstddef>
@@ -99,8 +101,10 @@
 
 #include "common/annotations.hpp"
 #include "common/sync.hpp"
+#include "obs/metrics.hpp"
 #include "obs/serving_metrics.hpp"
 #include "obs/trace.hpp"
+#include "runtime/executor.hpp"
 #include "runtime/health.hpp"
 #include "runtime/server.hpp"
 
@@ -205,8 +209,8 @@ struct ShardConfig {
   void validate() const;
 };
 
-/// Per-replica serving counters (latency window per replica:
-/// BatchingServer::kLatencyWindow samples).
+/// Per-replica serving counters (latency window per replica: kLatencyWindow
+/// samples).
 struct ReplicaStats {
   std::size_t completed = 0;
   std::size_t batches = 0;
@@ -352,6 +356,10 @@ class ShardedServer {
   /// off) — completed span trees are read through it.
   const obs::Tracer* tracer() const { return tracer_; }
 
+  /// The registry this engine counts into: the configured one, or the
+  /// engine-owned one when observability.registry is null.
+  obs::Registry& registry() const { return *registry_; }
+
   /// Provisioned replica SLOTS (the autoscale capacity) — not all of them
   /// are necessarily active or even compiled; see active_replica_count().
   std::size_t replica_count() const { return capacity_; }
@@ -373,8 +381,7 @@ class ShardedServer {
     Tensor sample;
     std::promise<Tensor> promise;
     std::chrono::steady_clock::time_point enqueued;
-    std::chrono::steady_clock::time_point deadline =
-        BatchingServer::kNoDeadline;
+    std::chrono::steady_clock::time_point deadline = kNoDeadline;
     std::uint64_t tenant = 0;
     int priority = 0;
     std::size_t attempts = 0;  ///< re-routes consumed (quarantine retries)
@@ -400,16 +407,31 @@ class ShardedServer {
     std::unique_ptr<CanarySet> canary;
   };
 
-  /// Per-replica serving counters (guarded by stats_mutex_ as a whole
-  /// vector; indexed by replica).
+  /// Per-replica tallies the registry has no per-replica twin for (its
+  /// completed/batches/stolen counters are engine-wide, its latency
+  /// histogram keeps no samples). Everything else is counted only in the
+  /// registry bundles. Guarded by stats_mutex_ as a whole vector.
   struct ReplicaCounters {
     std::size_t completed = 0;
     std::size_t batches = 0;
     std::size_t stolen_batches = 0;
     std::size_t max_batch_seen = 0;
-    std::size_t fault_injections = 0;
-    std::size_t recalibrations = 0;
-    LatencyWindow latencies{BatchingServer::kLatencyWindow};
+    LatencyWindow latencies{kLatencyWindow};
+  };
+
+  /// One reading of the events counted only in the registry bundles.
+  struct Counts {
+    std::uint64_t rejected = 0;
+    std::uint64_t admission_rejected = 0;
+    std::uint64_t tenant_rejected = 0;
+    std::uint64_t shed = 0;
+    std::uint64_t failed = 0;
+    std::uint64_t retried = 0;
+    std::uint64_t drained = 0;
+    std::uint64_t deadline_hits = 0;
+    std::uint64_t deadline_misses = 0;
+    std::vector<std::uint64_t> fault_injections;  ///< per replica slot
+    std::vector<std::uint64_t> recalibrations;    ///< per replica slot
   };
 
   void dispatch_loop(std::size_t self);
@@ -455,7 +477,7 @@ class ShardedServer {
   void run_batch(std::size_t self, std::size_t victim,
                  std::vector<Request>& requests) GS_EXCLUDES(mutex_);
   /// Sheds `expired` requests (rejects their futures, counts them). Takes
-  /// stats_mutex_; must be called without mutex_ held.
+  /// mutex_ to release tenant slots, so must be called without it held.
   void shed_requests(std::vector<Request>& expired, const char* reason)
       GS_EXCLUDES(mutex_);
   /// Active (non-quarantined) replica with the shortest queue; SIZE_MAX
@@ -467,8 +489,10 @@ class ShardedServer {
   /// Refreshes the queue-depth gauges (per replica + engine aggregate).
   void update_queue_gauges() const GS_REQUIRES(mutex_);
   /// Records a health transition of replica r into `state` on the replica's
-  /// gauge + transition counters (no-op when metrics are off).
+  /// gauge + transition counters.
   void record_health(std::size_t r, ReplicaHealth state) const;
+  /// This engine's counts: the bundles' current values minus baseline_.
+  Counts counts() const;
 
   ShardConfig config_;
   nn::Network network_;  ///< pristine clone — the recalibration source
@@ -485,13 +509,19 @@ class ShardedServer {
   /// Replica's own program_mutex.
   std::vector<std::unique_ptr<Replica>> replicas_ GS_GUARDED_BY(mutex_);
 
-  /// Registry-backed serving metrics (null when observability.metrics off).
-  /// Unlike BatchingServer, the per-sample profile is NOT priced once here:
-  /// fault injection and recalibration mutate replica programs (including
-  /// skip flags), so run_batch re-prices under the replica's program lock.
+  /// The counter store: the configured registry, or owned_registry_. The
+  /// per-sample execution profile is re-priced per batch under the
+  /// replica's program lock, because fault injection and recalibration
+  /// mutate replica programs (including skip flags).
+  std::unique_ptr<obs::Registry> owned_registry_;
+  obs::Registry* registry_ = nullptr;
   std::unique_ptr<obs::ServingMetrics> metrics_;
   std::unique_ptr<obs::FleetMetrics> fleet_metrics_;
-  std::vector<std::unique_ptr<obs::ReplicaMetrics>> replica_metrics_;
+  std::vector<obs::ReplicaMetrics> replica_metrics_;  ///< per replica slot
+  /// Bundle values at construction: an injected registry shared with other
+  /// engines already holds their counts, so every read subtracts this.
+  /// Written once before any thread starts.
+  Counts baseline_;
   std::unique_ptr<obs::Tracer> owned_tracer_;
   obs::Tracer* tracer_ = nullptr;  ///< external or owned; null = no tracing
   std::atomic<std::uint64_t> next_request_id_{1};
@@ -517,15 +547,6 @@ class ShardedServer {
 
   mutable Mutex stats_mutex_;
   std::vector<ReplicaCounters> counters_ GS_GUARDED_BY(stats_mutex_);
-  std::size_t rejected_ GS_GUARDED_BY(stats_mutex_) = 0;
-  std::size_t admission_rejected_ GS_GUARDED_BY(stats_mutex_) = 0;
-  std::size_t tenant_rejected_ GS_GUARDED_BY(stats_mutex_) = 0;
-  std::size_t shed_ GS_GUARDED_BY(stats_mutex_) = 0;
-  std::size_t retried_ GS_GUARDED_BY(stats_mutex_) = 0;
-  std::size_t drained_ GS_GUARDED_BY(stats_mutex_) = 0;
-  std::size_t failed_ GS_GUARDED_BY(stats_mutex_) = 0;
-  std::size_t deadline_hits_ GS_GUARDED_BY(stats_mutex_) = 0;
-  std::size_t deadline_misses_ GS_GUARDED_BY(stats_mutex_) = 0;
   std::atomic<double> ewma_batch_cost_us_{0.0};
 
   /// Controller state — serialises ticks and guards the decision log.
@@ -536,7 +557,7 @@ class ShardedServer {
   std::uint64_t tick_ GS_GUARDED_BY(autoscale_mutex_) = 0;
   std::size_t up_streak_ GS_GUARDED_BY(autoscale_mutex_) = 0;
   std::size_t down_streak_ GS_GUARDED_BY(autoscale_mutex_) = 0;
-  /// Counter snapshots from the previous tick (delta inputs).
+  /// counts() readings from the previous tick (delta inputs).
   std::uint64_t last_hits_ GS_GUARDED_BY(autoscale_mutex_) = 0;
   std::uint64_t last_misses_ GS_GUARDED_BY(autoscale_mutex_) = 0;
   std::size_t last_shed_ GS_GUARDED_BY(autoscale_mutex_) = 0;

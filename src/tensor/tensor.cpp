@@ -9,7 +9,11 @@ namespace gs {
 std::size_t shape_numel(const Shape& shape) {
   if (shape.empty()) return 0;
   std::size_t n = 1;
-  for (std::size_t d : shape) n *= d;
+  for (std::size_t d : shape) {
+    GS_CHECK_MSG(!__builtin_mul_overflow(n, d, &n),
+                 "shape " << shape_to_string(shape)
+                          << " overflows the element count");
+  }
   return n;
 }
 

@@ -25,7 +25,8 @@ namespace gs {
 /// Shape of a tensor: extent per dimension, row-major layout.
 using Shape = std::vector<std::size_t>;
 
-/// Returns the number of elements a shape spans (1 for the empty shape).
+/// Returns the number of elements a shape spans (0 for the empty shape).
+/// Throws gs::Error when the product overflows std::size_t.
 std::size_t shape_numel(const Shape& shape);
 
 /// Human-readable "[2, 3, 4]" form for diagnostics.

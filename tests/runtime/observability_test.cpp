@@ -1,9 +1,10 @@
 // Observability is pure observation. The contracts under test:
-//  * registry-backed counters reconcile exactly with the engines' own
-//    stats() folds (no double counting, no lost events, inflight drains
-//    to zero);
-//  * logits are BITWISE identical with metrics + every-request tracing on
-//    versus fully off;
+//  * the registry is the engine's counter store: its counters reconcile
+//    exactly with the per-replica tallies stats() folds (no double
+//    counting, no lost events, inflight drains to zero), and each engine
+//    counts only its own traffic — in its own registry by default, against
+//    a construction-time baseline in a shared one;
+//  * logits are BITWISE identical with every-request tracing on versus off;
 //  * span trees stay well-formed (every parent precedes its children)
 //    through the messy paths — work stealing and quarantine re-routing —
 //    and the hops are annotated where they happen.
@@ -22,7 +23,6 @@
 #include "obs/exec_profile.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "runtime/server.hpp"
 #include "runtime/shard.hpp"
 
 namespace gs::runtime {
@@ -40,6 +40,22 @@ Tensor random_sample(std::uint64_t seed) {
   Rng rng(seed);
   t.fill_uniform(rng, -1.0f, 1.0f);
   return t;
+}
+
+/// Config of a one-replica server — the plain batching server.
+ShardConfig one_replica(obs::Registry* registry, std::size_t trace_every) {
+  ShardConfig config;
+  config.replicas = 1;
+  config.batching.observability.registry = registry;
+  config.batching.observability.trace_sample_every = trace_every;
+  return config;
+}
+
+std::uint64_t completed_in(obs::Registry& registry) {
+  return registry
+      .counter("gs_server_requests_total", "",
+               obs::Labels{{"engine", "sharded"}, {"result", "completed"}})
+      .value();
 }
 
 /// Reference logits for one sample through a bare executor forward.
@@ -101,10 +117,8 @@ TEST(ObservabilityTest, BatchingCountersReconcileWithStats) {
   const obs::ExecProfile profile = executor.profile();
 
   obs::Registry registry;
-  BatchingConfig config;
-  config.observability.registry = &registry;
-  config.observability.trace_sample_every = 1;
-  BatchingServer server(executor, config);
+  ShardedServer server(net, Shape{64}, CompileOptions{},
+                       one_replica(&registry, 1));
 
   constexpr std::uint64_t kRequests = 12;
   for (std::uint64_t s = 0; s < kRequests; ++s) {
@@ -112,26 +126,21 @@ TEST(ObservabilityTest, BatchingCountersReconcileWithStats) {
   }
   server.shutdown();
 
-  const ServerStats stats = server.stats();
+  const ServerStats stats = server.stats().aggregate;
   EXPECT_EQ(stats.completed, kRequests);
   EXPECT_EQ(stats.latency_samples_total, kRequests);
   EXPECT_GT(stats.latency_p50_ms, 0.0);
   EXPECT_GE(stats.latency_p999_ms, stats.latency_p99_ms);
   EXPECT_LE(stats.latency_p999_ms, stats.latency_max_ms);
 
-  const obs::Labels engine{{"engine", "batching"}};
-  const auto requests = [&](const char* result) {
-    return registry
-        .counter("gs_server_requests_total", "",
-                 obs::Labels{{"engine", "batching"}, {"result", result}})
-        .value();
-  };
-  EXPECT_EQ(requests("completed"), stats.completed);
-  EXPECT_EQ(requests("rejected"), stats.rejected);
-  EXPECT_EQ(requests("shed"), stats.shed);
-  EXPECT_EQ(requests("failed"), stats.failed);
+  // completed/batches are tallied per replica under the stats lock AND in
+  // the registry; the two must agree. Rejected/shed/failed live only in the
+  // registry (stats() reads them from there), so here they are just zero.
+  const obs::Labels engine{{"engine", "sharded"}};
+  EXPECT_EQ(completed_in(registry), stats.completed);
   EXPECT_EQ(registry.counter("gs_server_batches_total", "", engine).value(),
             stats.batches);
+  EXPECT_EQ(stats.rejected + stats.shed + stats.failed, 0u);
   // Inflight drains to zero once every future resolved.
   EXPECT_EQ(registry.gauge("gs_server_inflight", "", engine).value(), 0.0);
 
@@ -172,16 +181,12 @@ TEST(ObservabilityTest, LogitsBitwiseIdenticalObservabilityOnAndOff) {
   const CrossbarProgram program = compile(net, Shape{64});
   const Executor executor(program);
 
-  BatchingConfig off;
-  off.observability.metrics = false;
-  off.observability.trace_sample_every = 0;
-  BatchingServer dark(executor, off);
-
+  // Counting is always on; "off" is tracing off and nothing exported.
+  ShardedServer dark(net, Shape{64}, CompileOptions{},
+                     one_replica(nullptr, 0));
   obs::Registry registry;
-  BatchingConfig on;
-  on.observability.registry = &registry;
-  on.observability.trace_sample_every = 1;  // trace EVERY request
-  BatchingServer lit(executor, on);
+  ShardedServer lit(net, Shape{64}, CompileOptions{},
+                    one_replica(&registry, 1));  // trace EVERY request
 
   for (std::uint64_t s = 0; s < 16; ++s) {
     const Tensor sample = random_sample(s);
@@ -331,14 +336,9 @@ TEST(ObservabilityTest, StolenBatchesAnnotateTheBatchSpan) {
 
 TEST(ObservabilityTest, DroppedRequestsFinishTheirTraces) {
   nn::Network net = small_net();
-  const CrossbarProgram program = compile(net, Shape{64});
-  const Executor executor(program);
-
   obs::Registry registry;
-  BatchingConfig config;
-  config.observability.registry = &registry;
-  config.observability.trace_sample_every = 1;
-  BatchingServer server(executor, config);
+  ShardedServer server(net, Shape{64}, CompileOptions{},
+                       one_replica(&registry, 1));
   server.shutdown();  // everything submitted from here on is rejected
 
   auto future = server.submit(random_sample(0));
@@ -350,15 +350,56 @@ TEST(ObservabilityTest, DroppedRequestsFinishTheirTraces) {
   EXPECT_EQ(find_note(*traces.front(), "result"), "rejected");
   EXPECT_EQ(registry
                 .counter("gs_server_requests_total", "",
-                         obs::Labels{{"engine", "batching"},
+                         obs::Labels{{"engine", "sharded"},
                                      {"result", "rejected"}})
                 .value(),
             1u);
   EXPECT_EQ(registry
                 .gauge("gs_server_inflight", "",
-                       obs::Labels{{"engine", "batching"}})
+                       obs::Labels{{"engine", "sharded"}})
                 .value(),
             0.0);
+}
+
+TEST(ObservabilityTest, EnginesCountOnlyTheirOwnTraffic) {
+  nn::Network net = small_net();
+  const auto serve = [](ShardedServer& server, std::uint64_t requests) {
+    for (std::uint64_t s = 0; s < requests; ++s) {
+      (void)server.infer(random_sample(s));
+    }
+  };
+
+  // Default config: each engine owns its registry, so nothing mixes.
+  ShardedServer a(net, Shape{64}, CompileOptions{}, one_replica(nullptr, 0));
+  ShardedServer b(net, Shape{64}, CompileOptions{}, one_replica(nullptr, 0));
+  serve(a, 3);
+  serve(b, 5);
+  EXPECT_NE(&a.registry(), &b.registry());
+  EXPECT_EQ(a.stats().aggregate.completed, 3u);
+  EXPECT_EQ(b.stats().aggregate.completed, 5u);
+  EXPECT_EQ(completed_in(a.registry()), 3u);
+  EXPECT_EQ(completed_in(b.registry()), 5u);
+
+  // An injected registry receives the export of every engine handed it; an
+  // engine built after earlier traffic still reports only its own.
+  obs::Registry shared;
+  {
+    ShardedServer first(net, Shape{64}, CompileOptions{},
+                        one_replica(&shared, 0));
+    serve(first, 2);
+  }
+  ShardedServer second(net, Shape{64}, CompileOptions{},
+                       one_replica(&shared, 0));
+  EXPECT_EQ(&second.registry(), &shared);
+  serve(second, 4);
+  second.shutdown();
+  EXPECT_THROW((void)second.submit(random_sample(0)).get(),
+               std::runtime_error);
+  EXPECT_EQ(completed_in(shared), 6u);
+  const ServerStats stats = second.stats().aggregate;
+  EXPECT_EQ(stats.completed, 4u);
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.latency_samples_total, 4u);
 }
 
 }  // namespace

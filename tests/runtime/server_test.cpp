@@ -1,3 +1,6 @@
+// The batching-server contracts, served by a one-replica ShardedServer
+// (autoscaling off): coalescing, the launch deadline, admission, overload
+// displacement, and the ServerStats fold.
 #include "runtime/server.hpp"
 
 #include <gtest/gtest.h>
@@ -14,11 +17,14 @@
 #include "common/check.hpp"
 #include "nn/activations.hpp"
 #include "nn/dense.hpp"
+#include "runtime/shard.hpp"
 
 namespace gs::runtime {
 namespace {
 
-/// Small FC network + program shared by the serving tests.
+const Shape kSampleShape{1, 8, 8};
+
+/// Small FC network + the program its reference forwards run on.
 struct Fixture {
   nn::Network net;
   CrossbarProgram program;
@@ -31,13 +37,21 @@ struct Fixture {
     net.add(std::make_unique<nn::DenseLayer>("fc1", 64, 48, rng));
     net.add(std::make_unique<nn::ReluLayer>("relu"));
     net.add(std::make_unique<nn::DenseLayer>("fc2", 48, 10, rng));
-    CrossbarProgram program = compile(net, Shape{1, 8, 8});
+    CrossbarProgram program = compile(net, kSampleShape);
     return Fixture{std::move(net), std::move(program)};
   }
 
   Fixture(nn::Network n, CrossbarProgram p)
       : net(std::move(n)), program(std::move(p)), executor(program) {}
 };
+
+/// Config of a one-replica server — the plain batching server.
+ShardConfig one_replica(const BatchingConfig& batching = {}) {
+  ShardConfig config;
+  config.replicas = 1;
+  config.batching = batching;
+  return config;
+}
 
 Tensor sample(std::uint64_t seed) {
   Tensor t(Shape{1, 8, 8});
@@ -51,7 +65,8 @@ TEST(BatchingServerTest, ConcurrentRequestsGetTheirOwnLogits) {
   BatchingConfig config;
   config.max_batch = 8;
   config.max_delay = std::chrono::microseconds(200);
-  BatchingServer server(fx.executor, config);
+  ShardedServer server(fx.net, kSampleShape, CompileOptions{},
+                       one_replica(config));
 
   constexpr std::size_t kClients = 8;
   constexpr std::size_t kPerClient = 5;
@@ -84,7 +99,7 @@ TEST(BatchingServerTest, ConcurrentRequestsGetTheirOwnLogits) {
     }
   }
 
-  const ServerStats stats = server.stats();
+  const ServerStats stats = server.stats().aggregate;
   EXPECT_EQ(stats.completed, kClients * kPerClient);
   EXPECT_EQ(stats.rejected, 0u);
   EXPECT_GE(stats.batches, (kClients * kPerClient) / config.max_batch);
@@ -100,7 +115,8 @@ TEST(BatchingServerTest, CoalescesBurstIntoOneBatch) {
   config.max_batch = 8;
   // A generous deadline: the burst below lands well inside it.
   config.max_delay = std::chrono::microseconds(2'000'000);
-  BatchingServer server(fx.executor, config);
+  ShardedServer server(fx.net, kSampleShape, CompileOptions{},
+                       one_replica(config));
 
   std::vector<std::future<Tensor>> futures;
   for (std::size_t i = 0; i < config.max_batch; ++i) {
@@ -109,7 +125,7 @@ TEST(BatchingServerTest, CoalescesBurstIntoOneBatch) {
   for (auto& f : futures) f.get();
   server.shutdown();
 
-  const ServerStats stats = server.stats();
+  const ServerStats stats = server.stats().aggregate;
   EXPECT_EQ(stats.completed, config.max_batch);
   // The full burst must not have been served one request at a time.
   EXPECT_GE(stats.max_batch_seen, 2u);
@@ -121,30 +137,14 @@ TEST(BatchingServerTest, DeadlineReleasesLonelyRequest) {
   BatchingConfig config;
   config.max_batch = 32;
   config.max_delay = std::chrono::microseconds(1000);
-  BatchingServer server(fx.executor, config);
+  ShardedServer server(fx.net, kSampleShape, CompileOptions{},
+                       one_replica(config));
   // One request, no batch mates: the deadline must release it.
   const Tensor logits = server.infer(sample(7));
   EXPECT_EQ(logits.numel(), 10u);
-  const ServerStats stats = server.stats();
+  const ServerStats stats = server.stats().aggregate;
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.batches, 1u);
-}
-
-TEST(BatchingServerTest, RejectsAfterShutdownAndBadShapes) {
-  Fixture fx = Fixture::make();
-  BatchingServer server(fx.executor);
-  EXPECT_THROW(server.submit(Tensor(Shape{3, 8, 8})), Error);
-  server.shutdown();
-  // submit() after shutdown() is a defined path: an immediately-rejected
-  // future naming the reason — never UB, never a hang.
-  auto future = server.submit(sample(1));
-  try {
-    future.get();
-    FAIL() << "expected a shutdown rejection";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("shut down"), std::string::npos);
-  }
-  EXPECT_EQ(server.stats().rejected, 1u);
 }
 
 TEST(BatchingServerTest, AdmissionControlRejectsPredictedDeadlineMisses) {
@@ -155,7 +155,8 @@ TEST(BatchingServerTest, AdmissionControlRejectsPredictedDeadlineMisses) {
   // predicted miss at submit time.
   config.admission.assumed_batch_cost = std::chrono::microseconds(10'000);
   config.max_delay = std::chrono::microseconds(200);
-  BatchingServer server(fx.executor, config);
+  ShardedServer server(fx.net, kSampleShape, CompileOptions{},
+                       one_replica(config));
 
   auto doomed = server.submit(sample(1), std::chrono::milliseconds(1));
   try {
@@ -169,7 +170,7 @@ TEST(BatchingServerTest, AdmissionControlRejectsPredictedDeadlineMisses) {
             10u);
   EXPECT_EQ(server.infer(sample(3)).numel(), 10u);
 
-  const ServerStats stats = server.stats();
+  const ServerStats stats = server.stats().aggregate;
   EXPECT_EQ(stats.admission_rejected, 1u);
   EXPECT_EQ(stats.rejected, 1u);
   EXPECT_EQ(stats.completed, 2u);
@@ -182,7 +183,8 @@ TEST(BatchingServerTest, FullQueueShedsByDeadlinePriority) {
   // Long coalescing window: the queued request stays queued while the test
   // submits competitors against the full queue.
   config.max_delay = std::chrono::microseconds(200'000);
-  BatchingServer server(fx.executor, config);
+  ShardedServer server(fx.net, kSampleShape, CompileOptions{},
+                       one_replica(config));
 
   // A no-deadline request holds the only slot…
   auto lax = server.submit(sample(1));
@@ -205,7 +207,7 @@ TEST(BatchingServerTest, FullQueueShedsByDeadlinePriority) {
   }
   EXPECT_EQ(urgent.get().numel(), 10u);
 
-  const ServerStats stats = server.stats();
+  const ServerStats stats = server.stats().aggregate;
   EXPECT_EQ(stats.shed, 1u);
   EXPECT_EQ(stats.rejected, 1u);
   EXPECT_EQ(stats.completed, 1u);
@@ -221,13 +223,14 @@ TEST(ServerStatsTest, SmallSamplePercentilesAreMarkedSaturated) {
   EXPECT_FALSE(percentile_saturated(1000, 0.999));
 
   Fixture fx = Fixture::make();
-  BatchingServer server(fx.executor);
+  ShardedServer server(fx.net, kSampleShape, CompileOptions{},
+                       one_replica());
   constexpr std::size_t kRequests = 5;
   for (std::size_t i = 0; i < kRequests; ++i) {
     server.infer(sample(i));
   }
   server.shutdown();
-  const ServerStats stats = server.stats();
+  const ServerStats stats = server.stats().aggregate;
   // Percentile provenance: the count the percentiles were computed from is
   // reported, and at 5 samples both tail percentiles are saturated — SLO
   // reporting must fall back to the per-request deadline counters.
@@ -268,7 +271,8 @@ TEST(BatchingServerTest, AdmissionEwmaSafeUnderConcurrentCompletions) {
   config.max_batch = 4;
   config.max_delay = std::chrono::microseconds(200);
   config.admission.enabled = true;  // assumed_batch_cost 0 → measured EWMA
-  BatchingServer server(fx.executor, config);
+  ShardedServer server(fx.net, kSampleShape, CompileOptions{},
+                       one_replica(config));
 
   constexpr std::size_t kClients = 6;
   constexpr std::size_t kPerClient = 8;
@@ -288,7 +292,7 @@ TEST(BatchingServerTest, AdmissionEwmaSafeUnderConcurrentCompletions) {
   for (std::thread& t : clients) t.join();
   server.shutdown();
   EXPECT_EQ(served.load(), kClients * kPerClient);
-  EXPECT_EQ(server.stats().deadline_hits, kClients * kPerClient);
+  EXPECT_EQ(server.stats().aggregate.deadline_hits, kClients * kPerClient);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Shutdown-under-load stress tests for the serving engines — the
+// Shutdown-under-load stress tests for the serving engine — the
 // ThreadSanitizer workload (CI runs this suite under GS_SANITIZE=thread).
 //
 // The scenarios no other test exercises:
@@ -41,6 +41,17 @@ nn::Network tiny_net(std::uint64_t seed) {
 
 Tensor sample(float value) { return Tensor(Shape{12}, value); }
 
+/// A one-replica server config — the plain batching server.
+ShardConfig one_replica(std::size_t max_batch = 32,
+                        std::chrono::microseconds max_delay =
+                            std::chrono::microseconds(1000)) {
+  ShardConfig config;
+  config.replicas = 1;
+  config.batching.max_batch = max_batch;
+  config.batching.max_delay = max_delay;
+  return config;
+}
+
 /// Runs `clients` threads hammering `submit` until `stop` flips; returns
 /// (completed, rejected) as counted from the client side.
 struct ClientStorm {
@@ -76,14 +87,11 @@ struct ClientStorm {
 
 TEST(ServerStressTest, DestructorResolvesInFlightFutures) {
   nn::Network net = tiny_net(3);
-  const CrossbarProgram program = compile(net, Shape{12});
-  const Executor executor(program);
 
   for (int round = 0; round < 8; ++round) {
-    BatchingConfig config;
-    config.max_batch = 4;
-    config.max_delay = std::chrono::microseconds(200);
-    auto server = std::make_optional<BatchingServer>(executor, config);
+    auto server = std::make_optional<ShardedServer>(
+        net, Shape{12}, CompileOptions{},
+        one_replica(4, std::chrono::microseconds(200)));
 
     // Pile up in-flight work, then destroy the server while none of it has
     // been collected: the destructor's drain must resolve every future.
@@ -107,14 +115,10 @@ TEST(ServerStressTest, DestructorResolvesInFlightFutures) {
 
 TEST(ServerStressTest, ConcurrentShutdownRacesLiveSubmitters) {
   nn::Network net = tiny_net(3);
-  const CrossbarProgram program = compile(net, Shape{12});
-  const Executor executor(program);
 
   for (int round = 0; round < 8; ++round) {
-    BatchingConfig config;
-    config.max_batch = 4;
-    config.max_delay = std::chrono::microseconds(200);
-    BatchingServer server(executor, config);
+    ShardedServer server(net, Shape{12}, CompileOptions{},
+                         one_replica(4, std::chrono::microseconds(200)));
 
     ClientStorm storm;
     storm.launch(4, [&server](Tensor s) {
@@ -132,13 +136,8 @@ TEST(ServerStressTest, ConcurrentShutdownRacesLiveSubmitters) {
 
 TEST(ServerStressTest, ShutdownDrainsAndAccountsEveryRequest) {
   nn::Network net = tiny_net(5);
-  const CrossbarProgram program = compile(net, Shape{12});
-  const Executor executor(program);
-
-  BatchingConfig config;
-  config.max_batch = 8;
-  config.max_delay = std::chrono::microseconds(500);
-  BatchingServer server(executor, config);
+  ShardedServer server(net, Shape{12}, CompileOptions{},
+                       one_replica(8, std::chrono::microseconds(500)));
 
   ClientStorm storm;
   storm.launch(4, [&server](Tensor s) { return server.submit(std::move(s)); });
@@ -146,7 +145,7 @@ TEST(ServerStressTest, ShutdownDrainsAndAccountsEveryRequest) {
   server.shutdown();  // concurrent with live submitters
   storm.join();
 
-  const ServerStats stats = server.stats();
+  const ServerStats stats = server.stats().aggregate;
   EXPECT_EQ(stats.failed, 0u);
   EXPECT_EQ(stats.completed, storm.completed.load());
   EXPECT_EQ(stats.rejected, storm.rejected.load());
@@ -156,11 +155,9 @@ TEST(ServerStressTest, ShutdownDrainsAndAccountsEveryRequest) {
 
 TEST(ServerStressTest, ShutdownIsIdempotentUnderConcurrentCallers) {
   nn::Network net = tiny_net(7);
-  const CrossbarProgram program = compile(net, Shape{12});
-  const Executor executor(program);
 
   for (int round = 0; round < 8; ++round) {
-    BatchingServer server(executor);
+    ShardedServer server(net, Shape{12}, CompileOptions{}, one_replica());
     std::vector<std::thread> closers;
     for (int t = 0; t < 4; ++t) {
       closers.emplace_back([&server] { server.shutdown(); });
@@ -228,9 +225,7 @@ TEST(ShardStressTest, ConcurrentShutdownRacesStealStorm) {
 
 TEST(ServerStressTest, PostShutdownSubmitsRejectImmediatelyFromManyThreads) {
   nn::Network net = tiny_net(9);
-  const CrossbarProgram program = compile(net, Shape{12});
-  const Executor executor(program);
-  BatchingServer server(executor);
+  ShardedServer server(net, Shape{12}, CompileOptions{}, one_replica());
   server.shutdown();
 
   // Regression: submit() after shutdown() used to be caller UB; it is now a
@@ -254,7 +249,7 @@ TEST(ServerStressTest, PostShutdownSubmitsRejectImmediatelyFromManyThreads) {
   }
   for (std::thread& t : clients) t.join();
   EXPECT_EQ(rejected.load(), 64u);
-  EXPECT_EQ(server.stats().rejected, 64u);
+  EXPECT_EQ(server.stats().aggregate.rejected, 64u);
 }
 
 TEST(ShardStressTest, ShutdownDuringStealDrainsEveryQueue) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -55,6 +56,21 @@ TEST(Serialize, TruncatedPayloadRejected) {
   raw.resize(raw.size() / 2);
   std::stringstream truncated(raw);
   EXPECT_THROW(read_tensor(truncated), Error);
+}
+
+TEST(Serialize, OverflowingShapeRejected) {
+  // Rank 3 with dims 2^31, 2^31, 4: each dim passes the per-dim bound, but
+  // the element count 2^64 wraps to 0 in size_t. The header alone must be
+  // refused, not loaded as an empty tensor claiming 2^64 cells.
+  std::stringstream ss;
+  const std::uint32_t magic = 0x47535431;
+  const std::uint32_t rank = 3;
+  const std::uint64_t dims[] = {1ULL << 31, 1ULL << 31, 4};
+  ss.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
+  ss.write(reinterpret_cast<const char*>(&rank), sizeof(rank));
+  ss.write(reinterpret_cast<const char*>(dims), sizeof(dims));
+  ASSERT_EQ(ss.str().size(), 32u);
+  EXPECT_THROW(read_tensor(ss), Error);
 }
 
 TEST(Serialize, LoadFromMissingFileThrows) {
