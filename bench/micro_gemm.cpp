@@ -234,16 +234,24 @@ int main() {
   // Shapes hit by LeNet/ConvNet training + rank clipping. im2col products
   // are tall-skinny (positions×batch rows, patch-sized k, filter-count n);
   // the 512³ square is the acceptance shape; rsvd panels are tall with a
-  // narrow probe block; the ta/tb cases mirror Dense/Conv backward.
+  // narrow probe block; the ta/tb cases mirror Dense/Conv backward. The
+  // batch-32 fc1 rows are the small-m inference regime, and 64³ is one
+  // crossbar-sized block.
   const GemmCase gemm_cases[] = {
       {"square_512", "acceptance", 512, 512, 512, false, false},
       {"lenet_conv2_im2col", "im2col tall-skinny", 1600, 50, 500, false,
        false},
       {"convnet_conv3_im2col", "im2col tall-skinny", 1024, 64, 800, false,
        false},
+      {"lenet_conv2_product", "im2col product", 576, 50, 500, false, false},
+      {"convnet_conv1_product", "im2col product", 1024, 32, 75, false,
+       false},
+      {"lenet_fc1_b32", "small-m forward", 32, 500, 800, false, false},
+      {"crossbar_block_64", "crossbar block", 64, 64, 64, false, false},
       {"rsvd_panel", "range finder Y=A*Omega", 2048, 37, 512, false, false},
       {"rsvd_panel_t", "power iter Z=At*Y", 512, 37, 2048, true, false},
       {"dense_backward_dW", "dW=Xt*dY", 800, 500, 256, true, false},
+      {"dense_backward_dW_b32", "dW=Xt*dY", 32, 500, 800, true, false},
       {"dense_backward_dX", "dX=dY*Wt", 256, 800, 500, false, true},
   };
   for (const GemmCase& cs : gemm_cases) {

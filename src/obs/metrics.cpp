@@ -406,10 +406,4 @@ std::vector<std::string> Registry::family_names() const {
   return names;
 }
 
-Registry& Registry::global() {
-  static Registry* registry = new Registry();  // never destroyed (leaked on
-                                               // purpose: outlives all users)
-  return *registry;
-}
-
 }  // namespace gs::obs

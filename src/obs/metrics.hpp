@@ -156,8 +156,8 @@ struct MetricSample {
   double sum = 0.0;
 };
 
-/// The metric family table. One process-wide instance (global()) serves the
-/// serving stack; tests construct private registries for isolation.
+/// The metric family table. Each serving engine owns one unless it is handed
+/// a shared registry to export through.
 ///
 /// Thread-safety: all methods are safe from any number of threads; returned
 /// metric references remain valid (and lock-free) for the registry lifetime.
@@ -195,9 +195,6 @@ class Registry {
 
   /// Registered family names, in order (the docs-catalogue contract).
   std::vector<std::string> family_names() const;
-
-  /// Process-wide registry used by the serving stack by default.
-  static Registry& global();
 
  private:
   struct Child {
