@@ -2,14 +2,6 @@
 
 namespace gs::obs {
 
-namespace {
-
-/// Prices one crossbar stage for `rows` input vectors. The counts follow
-/// the compiled schedule: a padded plan converts every matrix row at the
-/// DAC and every non-skipped slice width at the ADC; a repacked plan (see
-/// runtime::CompileOptions::repack) only converts rows live in ≥1 tile and
-/// only reads out each tile's live columns — live_input_wires and
-/// xbar.cols() price both lowerings uniformly.
 void add_stage(const runtime::MatrixPlan& plan, std::uint64_t rows,
                ExecProfile& p) {
   p.dac_conversions +=
@@ -29,8 +21,6 @@ void add_stage(const runtime::MatrixPlan& plan, std::uint64_t rows,
     p.partial_sum_bytes += rows * width * sizeof(double);
   }
 }
-
-}  // namespace
 
 ExecProfile profile_program(const runtime::CrossbarProgram& program) {
   ExecProfile p;

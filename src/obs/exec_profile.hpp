@@ -9,15 +9,17 @@
 // the executor/server multiplies the per-sample profile by the batch size
 // after each forward.
 //
-// Counting model (per sample):
+// Counting model (per sample). Every crossbar stage runs one schedule —
+// MatrixPlan::column_tiles, the same walk for padded, skip-marked and
+// repacked plans (runtime/program.hpp) — so one stage price covers all three:
 //  * dac_conversions — one per input-vector element entering a crossbar
-//    stage (each im2col patch row of a conv is its own input vector); on a
-//    repacked stage (runtime::CompileOptions::repack) only elements live in
-//    ≥1 programmed tile are converted (MatrixPlan::live_input_wires);
+//    stage (each im2col patch row of a conv is its own input vector), i.e.
+//    MatrixPlan::live_input_wires: every matrix row on a padded plan, only
+//    rows live in ≥1 programmed tile on a repacked one;
 //  * analog_mvms — one per (input vector × non-skipped tile);
 //  * adc_conversions — one per PHYSICAL output column of each non-skipped
-//    tile, per input vector — the padded slice width, or the live-column
-//    count of a repacked tile;
+//    tile, per input vector: xbar.cols(), the slice width of a padded tile
+//    or the live-column count of a repacked one;
 //  * tiles_executed / tiles_skipped — STATIC tile counts of the schedule
 //    (they match CrossbarProgram::tile_count / skipped_tile_count, and the
 //    compile-time `runtime_skipped_tiles` reported in BENCH_runtime.json);
@@ -25,6 +27,9 @@
 //    pooling window ops;
 //  * partial_sum_bytes — bytes of per-tile partial sums handed to the
 //    digital accumulator (8-byte doubles, non-skipped tiles only).
+//
+// add_stage() is that per-stage price; the executor annotates its per-stage
+// trace spans from it, so span counts and profiles agree by construction.
 //
 // Because skip flags are live program state (fault injection can clear
 // them), callers under a program lock recompute the profile per batch —
@@ -65,6 +70,11 @@ struct ExecProfile {
     return p;
   }
 };
+
+/// Adds the price of `rows` input vectors through one crossbar stage to `p`
+/// (see the counting model above; the static tile counts are added once).
+void add_stage(const runtime::MatrixPlan& plan, std::uint64_t rows,
+               ExecProfile& p);
 
 /// Prices one sample through `program` (see the counting model above).
 ExecProfile profile_program(const runtime::CrossbarProgram& program);

@@ -23,33 +23,23 @@ std::size_t pool_out_extent(std::size_t in, std::size_t kernel,
 }
 
 /// Opens a per-stage span annotated with the stage's energy-proxy counts
-/// (tile schedule, DAC/ADC conversions for `rows` input vectors). Returns 0
-/// when untraced. Pure observation — never touches the stage arithmetic.
+/// for `rows` input vectors, priced by obs::add_stage exactly as the
+/// per-sample profile prices them. Returns 0 when untraced. Pure
+/// observation — never touches the stage arithmetic.
 std::uint64_t begin_stage_span(const ForwardTrace& trace,
                                const MatrixPlan& plan, std::size_t rows) {
   if (trace.trace == nullptr) return 0;
   const std::uint64_t span =
       trace.trace->begin_span("stage:" + plan.name, trace.parent);
-  std::uint64_t executed = 0;
-  std::uint64_t skipped = 0;
-  std::uint64_t adc_per_row = 0;
-  for (const ProgramTile& tile : plan.tiles) {
-    if (tile.skip) {
-      ++skipped;
-    } else {
-      ++executed;
-      // Physical readout width: the padded slice width, or the live-column
-      // count of a repacked tile — either way, exactly xbar.cols().
-      adc_per_row += tile.xbar.cols();
-    }
-  }
+  obs::ExecProfile cost;
+  obs::add_stage(plan, rows, cost);
   trace.trace->annotate(span, "rows", std::to_string(rows));
-  trace.trace->annotate(span, "tiles", std::to_string(executed));
-  trace.trace->annotate(span, "skipped", std::to_string(skipped));
+  trace.trace->annotate(span, "tiles", std::to_string(cost.tiles_executed));
+  trace.trace->annotate(span, "skipped", std::to_string(cost.tiles_skipped));
   trace.trace->annotate(span, "dac_conversions",
-                        std::to_string(rows * plan.live_input_wires));
+                        std::to_string(cost.dac_conversions));
   trace.trace->annotate(span, "adc_conversions",
-                        std::to_string(rows * adc_per_row));
+                        std::to_string(cost.adc_conversions));
   return span;
 }
 
@@ -70,7 +60,6 @@ void Executor::apply_plan(const MatrixPlan& plan, const Tensor& act,
   GS_CHECK(out.rank() == 2 && out.rows() == act.rows() &&
            out.cols() == out_dim);
   const std::size_t rows = act.rows();
-  const std::size_t grid_rows = plan.grid.grid_rows();
   const std::size_t grid_cols = plan.grid.grid_cols();
   const DacAdcParams& conv = program_->options().converters;
   const bool need_scale = conv.dac_levels > 0 || conv.adc_levels > 0;
@@ -123,81 +112,54 @@ void Executor::apply_plan(const MatrixPlan& plan, const Tensor& act,
     const std::size_t tc = task % grid_cols;
     const std::size_t r0 = (task / grid_cols) * block;
     const std::size_t r1 = std::min(r0 + block, rows);
-    const hw::GroupSlice col = plan.repacked
-                                   ? hw::tile_slice(plan.grid, 0, tc)
-                                   : plan.tiles[tc].slice;
+    const hw::GroupSlice col = hw::tile_slice(plan.grid, 0, tc);
     const std::size_t width = col.col_end - col.col_begin;
     std::vector<double> acc(width);
     std::vector<double> partial(width);
-
-    if (plan.repacked) {
-      // Repacked lowering: per kept tile, gather the live activation
-      // elements into the small array, run its MVM + ADC, and scatter the
-      // results onto the output slice. column_tiles is ascending tile-row
-      // order, so every output element receives its surviving partial sums
-      // in exactly the padded order — dropping a dead row removes an
-      // exact ±0.0 term and a dead column an exact ADC(0)=0 term, which is
-      // why the exactness gate makes this bitwise identical to the padded
-      // path (and identical at any pool size, like the padded loop).
-      std::vector<float> gathered;
-      for (std::size_t r = r0; r < r1; ++r) {
-        const float* x = input->data() + r * in_dim;
-        const double x_max = need_scale ? row_scale[r] : 0.0;
-        std::fill(acc.begin(), acc.end(), 0.0);
-        for (const std::uint32_t ti : plan.column_tiles[tc]) {
-          const ProgramTile& tile = plan.tiles[ti];
-          const std::size_t live_rows = tile.in_gather.size();
-          const std::size_t live_cols = tile.out_scatter.size();
-          gathered.resize(live_rows);
-          for (std::size_t i = 0; i < live_rows; ++i) {
-            gathered[i] = x[tile.in_gather[i]];
-          }
-          partial.assign(live_cols, 0.0);
-          tile.xbar.accumulate_matvec(gathered.data(), partial.data());
-          if (conv.adc_levels > 0 && x_max > 0.0) {
-            // ADC full scale stays the PADDED tile geometry (P inputs at
-            // x_max through w_max): the library converter design does not
-            // shrink with the array, and keeping it fixed preserves bitwise
-            // parity with the padded execution.
-            const double full_scale = x_max * adc_gain;
-            for (std::size_t j = 0; j < live_cols; ++j) {
-              partial[j] =
-                  quantize_uniform(partial[j], full_scale, conv.adc_levels);
-            }
-          }
-          for (std::size_t j = 0; j < live_cols; ++j) {
-            acc[tile.out_scatter[j] - col.col_begin] += partial[j];
-          }
-        }
-        float* dst = out.data() + r * out_dim + col.col_begin;
-        for (std::size_t j = 0; j < width; ++j) {
-          dst[j] = static_cast<float>(acc[j]);
-        }
-      }
-      return;
-    }
+    std::vector<float> gathered;
 
     for (std::size_t r = r0; r < r1; ++r) {
       const float* x = input->data() + r * in_dim;
       const double x_max = need_scale ? row_scale[r] : 0.0;
       std::fill(acc.begin(), acc.end(), 0.0);
-      for (std::size_t tr = 0; tr < grid_rows; ++tr) {
-        const ProgramTile& tile = plan.tiles[tr * grid_cols + tc];
-        // Compile-proved zero contribution (empty tile after group deletion):
-        // adding it would add exact zeros, so eliding the MVM and ADC leaves
-        // the remaining fixed-order partial sums bitwise unchanged.
+      // column_tiles is ascending tile-row order, so every output element
+      // receives its partial sums in the same fixed order whether the plan
+      // is padded, skip-marked or repacked: a skipped tile or a dropped
+      // dead wire removes an exact zero term and leaves the rest bitwise
+      // unchanged (and identical at any pool size).
+      for (const std::uint32_t ti : plan.column_tiles[tc]) {
+        const ProgramTile& tile = plan.tiles[ti];
+        // Compile-proved zero contribution (empty tile after group
+        // deletion): eliding its MVM and ADC adds nothing.
         if (tile.skip) continue;
-        std::fill(partial.begin(), partial.end(), 0.0);
-        tile.xbar.accumulate_matvec(x + tile.slice.row_begin, partial.data());
+        const float* in = x + tile.slice.row_begin;
+        if (!tile.in_gather.empty()) {
+          gathered.resize(tile.in_gather.size());
+          for (std::size_t i = 0; i < gathered.size(); ++i) {
+            gathered[i] = x[tile.in_gather[i]];
+          }
+          in = gathered.data();
+        }
+        partial.assign(tile.xbar.cols(), 0.0);
+        tile.xbar.accumulate_matvec(in, partial.data());
         if (conv.adc_levels > 0 && x_max > 0.0) {
+          // ADC full scale is the PADDED tile geometry even on a repacked
+          // array: the library converter does not shrink with the array.
           const double full_scale = x_max * adc_gain;
-          for (std::size_t j = 0; j < width; ++j) {
-            partial[j] =
-                quantize_uniform(partial[j], full_scale, conv.adc_levels);
+          for (double& v : partial) {
+            v = quantize_uniform(v, full_scale, conv.adc_levels);
           }
         }
-        // Digital partial-sum accumulation, fixed tile-row order.
-        for (std::size_t j = 0; j < width; ++j) acc[j] += partial[j];
+        // Digital partial-sum accumulation onto the output slice.
+        if (tile.out_scatter.empty()) {
+          for (std::size_t j = 0; j < partial.size(); ++j) {
+            acc[j] += partial[j];
+          }
+        } else {
+          for (std::size_t j = 0; j < partial.size(); ++j) {
+            acc[tile.out_scatter[j] - col.col_begin] += partial[j];
+          }
+        }
       }
       float* dst = out.data() + r * out_dim + col.col_begin;
       for (std::size_t j = 0; j < width; ++j) {
@@ -240,15 +202,14 @@ Tensor Executor::run_conv(const Step& step, const Tensor& act,
   const std::size_t patch = g.patch_size();
   const std::size_t sample = shape_numel(step.in_shape);
 
-  // Whole-batch im2col: each sample owns a disjoint row range of `cols`.
+  // Whole-batch im2col: each sample writes its own disjoint row range of
+  // `cols` in place.
+  GS_CHECK_MSG(act.dim(1) == g.in_channels && act.dim(2) == g.in_height &&
+                   act.dim(3) == g.in_width,
+               step.name << ": conv input " << shape_to_string(act.shape()));
   Tensor cols(Shape{batch * patches, patch});
   pool().parallel_for(batch, [&](std::size_t b) {
-    Tensor image(step.in_shape);
-    std::copy(act.data() + b * sample, act.data() + (b + 1) * sample,
-              image.data());
-    const Tensor c = im2col(image, g);
-    std::copy(c.data(), c.data() + patches * patch,
-              cols.data() + b * patches * patch);
+    im2col(act.data() + b * sample, g, cols.data() + b * patches * patch);
   });
 
   Tensor cur = std::move(cols);

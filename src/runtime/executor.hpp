@@ -4,28 +4,34 @@
 // thread-safe), so one compiled program can serve many concurrent callers —
 // the serving engine (runtime/shard.hpp) relies on this.
 //
-// Parallelism & determinism: every crossbar stage is dispatched on the
-// gs::ThreadPool as independent (input-row block × tile column) tasks — the
-// PR 1/PR 2 one-task-per-disjoint-output-region pattern. Within a task each
-// input row is processed alone: DAC-quantise the row, run every tile of the
-// column top to bottom (per-tile double-precision MVM, then ADC), and add
-// the per-tile partial sums in ascending tile-row order. Per-output-element
-// arithmetic is therefore a pure function of the row and the tile schedule,
-// independent of both the thread count and the row blocking — results are
-// bitwise identical for any GS_NUM_THREADS.
-//
-// Tile skipping: tiles the compiler marked `skip` (provably-zero
-// contribution — the empty crossbars group connection deletion leaves
-// behind) are elided from the MVM→ADC loop. The marking criterion
-// guarantees the elided partial sum is exactly zero, so skipped and
-// unskipped programs of the same network produce bitwise-identical logits;
-// on heavily-deleted networks skipping removes most of the per-forward
-// arithmetic (see BENCH_runtime.json `tile_skip`).
+// One schedule: every crossbar stage runs the same loop whatever its
+// lowering (padded, padded with skip marks, or repacked). The stage is
+// dispatched on the gs::ThreadPool as independent (input-row block × tile
+// column) tasks — one task per disjoint output region. Within a task each
+// input row is processed alone: DAC-quantise the row, then walk the tile
+// column's schedule (MatrixPlan::column_tiles, ascending tile row) and for
+// each tile
+//   * skip it if it is marked `skip` (a compile-time proof of an exactly
+//     zero contribution — the empty crossbars group connection deletion
+//     leaves behind);
+//   * feed it the contiguous slice of the row, or gather its live rows
+//     through `in_gather` (a repacked tile);
+//   * run its double-precision analog MVM and ADC;
+//   * add each partial sum into the output slice directly, or through
+//     `out_scatter`.
+// Per-output-element arithmetic is therefore a pure function of the row
+// and the tile schedule, independent of the thread count and the row
+// blocking — results are bitwise identical for any GS_NUM_THREADS. A skipped
+// tile or a dropped dead wire only ever removes an exact zero term from a
+// fixed-order sum, so skipped, unskipped and repacked programs of the same
+// network produce bitwise-identical logits (BENCH_runtime.json `tile_skip`
+// and `repack` record the work saved).
 //
 // Converter model: DAC full scale is the per-input-vector max |x| (each
 // sample / im2col patch row carries its own scale, so batched and
 // single-sample execution agree exactly); ADC full scale is the no-overload
-// bound x_max · w_max · P for a P-row tile.
+// bound x_max · w_max · P for a P-row library tile — the padded geometry,
+// also on a repacked tile.
 #pragma once
 
 #include <cstddef>

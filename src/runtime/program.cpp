@@ -134,83 +134,19 @@ bool repack_is_exact(const CompileOptions& options) {
          options.analog.wire_resistance == 0.0;
 }
 
-/// Lowers one weight matrix onto its repacked placement (hw::repack_tiles
-/// realised as programmed crossbars): per tile, only the live rows × live
-/// columns are programmed, with gather/scatter maps tying the small array
-/// back to the matrix index space; fully-empty tiles are not programmed.
-/// Caller guarantees repack_is_exact().
-MatrixPlan make_repacked_plan(MatrixPlan plan, const Tensor& w,
-                              const CompileOptions& options) {
-  plan.repacked = true;
-  plan.column_tiles.assign(plan.grid.grid_cols(), {});
-
-  // DAC census: a matrix row is converted iff it feeds ≥1 live cell.
-  for (std::size_t i = 0; i < w.rows(); ++i) {
-    const float* row = w.data() + i * w.cols();
-    for (std::size_t j = 0; j < w.cols(); ++j) {
-      if (row[j] != 0.0f) {
-        ++plan.live_input_wires;
-        break;
-      }
-    }
-  }
-
-  // The repacked program is its own chip realisation with its own
-  // programming pass; under the exactness gate (variation_sigma == 0) the
-  // Rng is never drawn from, so live cells realise the identical effective
-  // weights the padded programming would.
-  Rng rng(options.analog.seed);
-  for (std::size_t tr = 0; tr < plan.grid.grid_rows(); ++tr) {
-    for (std::size_t tc = 0; tc < plan.grid.grid_cols(); ++tc) {
-      const hw::GroupSlice slice = hw::tile_slice(plan.grid, tr, tc);
-      plan.padded_cells += (slice.row_end - slice.row_begin) *
-                           (slice.col_end - slice.col_begin);
-      std::vector<std::uint32_t> live_rows;
-      std::vector<std::uint32_t> live_cols;
-      for (std::size_t i = slice.row_begin; i < slice.row_end; ++i) {
-        for (std::size_t j = slice.col_begin; j < slice.col_end; ++j) {
-          if (w.at(i, j) != 0.0f) {
-            live_rows.push_back(static_cast<std::uint32_t>(i));
-            break;
-          }
-        }
-      }
-      for (std::size_t j = slice.col_begin; j < slice.col_end; ++j) {
-        for (std::size_t i = slice.row_begin; i < slice.row_end; ++i) {
-          if (w.at(i, j) != 0.0f) {
-            live_cols.push_back(static_cast<std::uint32_t>(j));
-            break;
-          }
-        }
-      }
-      if (live_rows.empty() || live_cols.empty()) {
-        ++plan.removed_tiles;  // Figure 9: the empty crossbar vanishes.
-        continue;
-      }
-      Tensor tile(Shape{live_rows.size(), live_cols.size()});
-      for (std::size_t ii = 0; ii < live_rows.size(); ++ii) {
-        for (std::size_t jj = 0; jj < live_cols.size(); ++jj) {
-          tile.at(ii, jj) = w.at(live_rows[ii], live_cols[jj]);
-        }
-      }
-      ProgramTile programmed{
-          slice, hw::AnalogCrossbar(tile, plan.w_max, options.analog, rng),
-          /*skip=*/false, std::move(live_rows), std::move(live_cols)};
-      plan.programmed_cells += tile.numel();
-      plan.column_tiles[tc].push_back(
-          static_cast<std::uint32_t>(plan.tiles.size()));
-      plan.tiles.push_back(std::move(programmed));
-    }
-  }
-  return plan;
-}
-
 /// Tiles and programs one weight matrix. The Rng is seeded per matrix from
 /// the analog seed and tiles are visited row-major — the exact variation
 /// stream of hw::analog_effective_matrix, so the runtime realises the same
 /// nonideal weights the robustness analysis reports. (Skip-marked tiles are
 /// still programmed, keeping that variation stream — and therefore every
 /// non-skipped tile's weights — independent of the skip option.)
+///
+/// One loop serves both lowerings. A padded tile programs its full slice
+/// and leaves the index maps empty; a repacked tile (repack_is_exact()
+/// admitted the device) programs only its live rows × live columns, records
+/// them in in_gather/out_scatter, and an empty tile is not programmed at
+/// all. Under the exactness gate the Rng is never drawn from, so live cells
+/// realise the identical effective weights the padded programming would.
 MatrixPlan make_plan(std::string name, const Tensor& w,
                      const CompileOptions& options) {
   GS_CHECK(w.rank() == 2);
@@ -230,40 +166,78 @@ MatrixPlan make_plan(std::string name, const Tensor& w,
       hw::analyze_tiles(w, plan.grid);
   plan.occupancy = hw::summarize_occupancy(occupancy);
 
-  if (options.repack && repack_is_exact(options)) {
-    return make_repacked_plan(std::move(plan), w, options);
-  }
-
+  plan.repacked = options.repack && repack_is_exact(options);
   const bool may_skip =
       options.skip_empty_tiles && adc_preserves_zero(options.converters);
+  // A padded plan keeps every cell of its slice, a repacked plan only the
+  // live weights; a row or column is programmed iff it holds a kept cell.
+  const auto keep = [&](std::size_t i, std::size_t j) {
+    return !plan.repacked || w.at(i, j) != 0.0f;
+  };
 
-  plan.live_input_wires = plan.grid.rows;
+  // DAC census: a matrix row is converted iff it feeds ≥1 kept cell.
+  for (std::size_t i = 0; i < w.rows(); ++i) {
+    for (std::size_t j = 0; j < w.cols(); ++j) {
+      if (keep(i, j)) {
+        ++plan.live_input_wires;
+        break;
+      }
+    }
+  }
+
   Rng rng(options.analog.seed);
   plan.tiles.reserve(plan.grid.tile_count());
+  plan.column_tiles.assign(plan.grid.grid_cols(), {});
   for (std::size_t tr = 0; tr < plan.grid.grid_rows(); ++tr) {
     for (std::size_t tc = 0; tc < plan.grid.grid_cols(); ++tc) {
       const hw::GroupSlice slice = hw::tile_slice(plan.grid, tr, tc);
-      Tensor tile(Shape{slice.row_end - slice.row_begin,
-                        slice.col_end - slice.col_begin});
+      const hw::TileOccupancy& occ = occupancy[tr * plan.grid.grid_cols() + tc];
+      plan.padded_cells += occ.cells;
+      if (plan.repacked && occ.empty()) {
+        ++plan.removed_tiles;  // Figure 9: the empty crossbar vanishes.
+        continue;
+      }
+      std::vector<std::uint32_t> rows;
+      std::vector<std::uint32_t> cols;
       for (std::size_t i = slice.row_begin; i < slice.row_end; ++i) {
         for (std::size_t j = slice.col_begin; j < slice.col_end; ++j) {
-          tile.at(i - slice.row_begin, j - slice.col_begin) = w.at(i, j);
+          if (keep(i, j)) {
+            rows.push_back(static_cast<std::uint32_t>(i));
+            break;
+          }
+        }
+      }
+      for (std::size_t j = slice.col_begin; j < slice.col_end; ++j) {
+        for (std::size_t i = slice.row_begin; i < slice.row_end; ++i) {
+          if (keep(i, j)) {
+            cols.push_back(static_cast<std::uint32_t>(j));
+            break;
+          }
+        }
+      }
+      Tensor tile(Shape{rows.size(), cols.size()});
+      for (std::size_t ii = 0; ii < rows.size(); ++ii) {
+        for (std::size_t jj = 0; jj < cols.size(); ++jj) {
+          tile.at(ii, jj) = w.at(rows[ii], cols[jj]);
         }
       }
       plan.programmed_cells += tile.numel();
-      plan.padded_cells += tile.numel();
+      if (!plan.repacked) {
+        rows.clear();  // empty maps: the contiguous slice
+        cols.clear();
+      }
       ProgramTile programmed{
           slice, hw::AnalogCrossbar(tile, plan.w_max, options.analog, rng),
-          /*skip=*/false, /*in_gather=*/{}, /*out_scatter=*/{}};
+          /*skip=*/false, std::move(rows), std::move(cols)};
       // Skip only on compile-time proof of a zero contribution: the weight
       // tile is empty AND the programmed array realises exactly-zero
       // effective weights (process variation perturbs the two g_min halves
       // differently, so a nonideal zero pair may still conduct — the
       // effective-weight check rejects those tiles automatically).
-      if (may_skip && occupancy[tr * plan.grid.grid_cols() + tc].empty() &&
-          all_zero(programmed.xbar.effective_weights())) {
-        programmed.skip = true;
-      }
+      programmed.skip = may_skip && occ.empty() &&
+                        all_zero(programmed.xbar.effective_weights());
+      plan.column_tiles[tc].push_back(
+          static_cast<std::uint32_t>(plan.tiles.size()));
       plan.tiles.push_back(std::move(programmed));
     }
   }

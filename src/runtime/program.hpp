@@ -26,8 +26,11 @@
 //  * stateless layers (ReLU, pooling, flatten, dropout-at-eval) become
 //    digital peripheral steps.
 //
-// Execution semantics (runtime/executor.hpp) are fixed by the program:
-// per-input-vector DAC quantisation, per-tile analog MVM, per-tile ADC
+// Both lowerings come out of one compile loop and share one schedule: per
+// tile column, the programmed tiles in ascending tile row
+// (MatrixPlan::column_tiles). Execution semantics (runtime/executor.hpp)
+// are fixed by it: per-input-vector DAC quantisation, per-tile analog MVM
+// (gathering through the tile's index map when it has one), per-tile ADC
 // quantisation, then digital partial-sum accumulation over tile rows in
 // fixed order — bitwise deterministic at any thread count.
 //
@@ -118,21 +121,24 @@ struct ProgramTile {
   hw::AnalogCrossbar xbar;  ///< programmed differential-pair array
   /// Compile-time proof that this tile contributes exactly zero to every
   /// partial sum (see CompileOptions::skip_empty_tiles); the executor skips
-  /// its MVM and ADC.
+  /// its MVM and ADC. Live state: inject_faults() clears it when a fault
+  /// breaks the proof.
   bool skip = false;
-  /// Repacked lowering only (MatrixPlan::repacked; empty on padded plans):
-  /// absolute matrix row index feeding each crossbar input wire — the
-  /// executor gathers activation element in_gather[i] into wire i — and
-  /// absolute matrix column index each crossbar output wire scatters its
-  /// ADC result to. Both ascending, so partial-sum order is preserved.
+  /// Index maps tying the array's wires to the matrix. Empty means "the
+  /// contiguous slice" (every padded tile). On a repacked tile, in_gather[i]
+  /// is the absolute matrix row feeding crossbar input wire i and
+  /// out_scatter[j] the absolute matrix column output wire j's ADC result
+  /// adds into. Both ascending, so partial-sum order is preserved.
   std::vector<std::uint32_t> in_gather;
   std::vector<std::uint32_t> out_scatter;
 };
 
-/// Tiled analog mapping of one (in × out) weight matrix: the schedule is
-/// row-major over (tile_row, tile_col); all tiles of one tile column feed
-/// the same output slice and are accumulated in ascending tile-row order
-/// (skip-marked tiles drop out of the sum without disturbing that order).
+/// Tiled analog mapping of one (in × out) weight matrix. `tiles` holds the
+/// programmed tiles row-major over (tile_row, tile_col); `column_tiles` is
+/// the one execution schedule every lowering shares: all tiles of one tile
+/// column feed the same output slice and are accumulated in ascending
+/// tile-row order (skip-marked tiles drop out of the sum, removed tiles are
+/// simply absent, and neither disturbs that order).
 struct MatrixPlan {
   std::string name;      ///< "fc1", "conv2_u", … (report naming)
   hw::TileGrid grid;
@@ -142,12 +148,13 @@ struct MatrixPlan {
   /// — recorded at compile so callers can query emptiness without rescans.
   hw::OccupancySummary occupancy;
   /// True when this plan was lowered onto the repacked placement (see
-  /// CompileOptions::repack). Padded plans keep the dense row-major layout
-  /// (`tiles[tr * grid_cols + tc]`); repacked plans drop removed tiles from
-  /// `tiles` and index the survivors through `column_tiles`.
+  /// CompileOptions::repack): its tiles carry index maps and its empty
+  /// tiles were removed. Informational — the executor walks both lowerings
+  /// through `column_tiles` alike.
   bool repacked = false;
-  /// Repacked plans only: row-major indices into `tiles` per tile column,
-  /// ascending tile row — the executor's fixed partial-sum order.
+  /// Per tile column, the indices into `tiles` of its programmed tiles in
+  /// ascending tile row — the executor's fixed partial-sum order. On a
+  /// padded plan column tc lists all grid_rows tiles.
   std::vector<std::vector<std::uint32_t>> column_tiles;
   /// Distinct matrix rows that feed at least one programmed tile — the DAC
   /// conversions one input vector costs. Equals grid.rows on padded plans.
@@ -275,8 +282,8 @@ FaultInjectionReport inject_faults(CrossbarProgram& program,
                                    std::string_view label = {});
 
 /// FNV-1a fingerprint of the full programmed state: every tile's
-/// conductance pairs, effective weights, skip flag, and (repacked plans)
-/// gather/scatter index maps, in schedule order.
+/// conductance pairs, effective weights, skip flag, and gather/scatter
+/// index maps (empty on padded tiles), in tile order.
 /// Bitwise-equal programs (including their fault state) ⇒ equal checksums;
 /// the fault-determinism tests and the serving_faults bench replay gate
 /// compare these across runs.

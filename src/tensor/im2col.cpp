@@ -26,24 +26,16 @@ void ConvGeometry::validate() const {
   (void)out_width();
 }
 
-Tensor im2col(const Tensor& image, const ConvGeometry& g) {
-  g.validate();
-  GS_CHECK_MSG(image.rank() == 3 && image.dim(0) == g.in_channels &&
-                   image.dim(1) == g.in_height && image.dim(2) == g.in_width,
-               "im2col input shape " << shape_to_string(image.shape()));
+void im2col(const float* image, const ConvGeometry& g, float* out) {
   const std::size_t oh = g.out_height();
   const std::size_t ow = g.out_width();
   const std::size_t ps = g.patch_size();
-  Tensor cols(Shape{oh * ow, ps});
-
-  const float* src = image.data();
-  float* dst = cols.data();
   for (std::size_t oy = 0; oy < oh; ++oy) {
     for (std::size_t ox = 0; ox < ow; ++ox) {
-      float* row = dst + (oy * ow + ox) * ps;
+      float* row = out + (oy * ow + ox) * ps;
       std::size_t idx = 0;
       for (std::size_t c = 0; c < g.in_channels; ++c) {
-        const float* chan = src + c * g.in_height * g.in_width;
+        const float* chan = image + c * g.in_height * g.in_width;
         for (std::size_t ky = 0; ky < g.kernel_h; ++ky) {
           // Signed arithmetic for padding underflow.
           const long long iy =
@@ -65,6 +57,15 @@ Tensor im2col(const Tensor& image, const ConvGeometry& g) {
       }
     }
   }
+}
+
+Tensor im2col(const Tensor& image, const ConvGeometry& g) {
+  g.validate();
+  GS_CHECK_MSG(image.rank() == 3 && image.dim(0) == g.in_channels &&
+                   image.dim(1) == g.in_height && image.dim(2) == g.in_width,
+               "im2col input shape " << shape_to_string(image.shape()));
+  Tensor cols(Shape{g.out_height() * g.out_width(), g.patch_size()});
+  im2col(image.data(), g, cols.data());
   return cols;
 }
 

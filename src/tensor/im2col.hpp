@@ -36,6 +36,12 @@ struct ConvGeometry {
 /// position p in channel-major order. Zero padding is applied.
 Tensor im2col(const Tensor& image, const ConvGeometry& g);
 
+/// Unchecked form of the above: reads a C×H×W image from `image` and writes
+/// the (out_h*out_w × patch_size) patch matrix to `out`, which must hold
+/// that many floats. `g` must be valid. Lets a batched caller lower each
+/// sample straight into its rows of a shared patch matrix.
+void im2col(const float* image, const ConvGeometry& g, float* out);
+
 /// Adjoint of im2col: accumulates a patch-matrix gradient back into an
 /// image-shaped gradient (C×H×W). Exactly the transpose of the linear
 /// im2col map, which property tests verify via <im2col(x), y> = <x, col2im(y)>.

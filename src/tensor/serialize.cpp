@@ -37,6 +37,20 @@ Tensor read_tensor(std::istream& in) {
     GS_CHECK_MSG(in.good() && v > 0 && v < (1ULL << 32), "bad tensor dim");
     d = static_cast<std::size_t>(v);
   }
+  // Bound the payload by the bytes the stream actually holds BEFORE
+  // allocating, so a hostile header can neither allocate nor zero-fill
+  // more than the input it came with.
+  const std::size_t numel = shape_numel(shape);
+  const std::istream::pos_type pos = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::istream::pos_type end = in.tellg();
+  in.seekg(pos);
+  GS_CHECK_MSG(pos != std::istream::pos_type(-1) && in.good(),
+               "tensor stream is not seekable");
+  GS_CHECK_MSG(numel <= static_cast<std::uint64_t>(end - pos) / sizeof(float),
+               "tensor payload truncated: header claims "
+                   << shape_to_string(shape) << ", stream holds "
+                   << (end - pos) << " bytes");
   Tensor t(shape);
   in.read(reinterpret_cast<char*>(t.data()),
           static_cast<std::streamsize>(t.numel() * sizeof(float)));

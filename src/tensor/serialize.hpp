@@ -14,7 +14,9 @@ namespace gs {
 void write_tensor(std::ostream& out, const Tensor& t);
 
 /// Reads a tensor written by write_tensor; throws gs::Error on malformed
-/// input.
+/// input. `in` must be seekable (a file or string stream): the payload size
+/// the header claims is checked against the bytes left in the stream before
+/// anything is allocated.
 Tensor read_tensor(std::istream& in);
 
 /// File-path convenience wrappers.

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "common/check.hpp"
 #include "core/models.hpp"
 #include "nn/activations.hpp"
+#include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
 #include "nn/lowrank.hpp"
 
@@ -163,6 +165,89 @@ TEST(CompileTest, NonidealWeightsMatchAnalogEffectiveMatrix) {
             tile.xbar.effective_weights().at(i - tile.slice.row_begin,
                                              j - tile.slice.col_begin),
             expected.at(i, j));
+      }
+    }
+  }
+}
+
+TEST(CompileTest, EveryLoweringSharesOneColumnSchedule) {
+  // One schedule for every lowering: column_tiles[tc] lists each programmed
+  // tile of tile column tc exactly once, in ascending tile row; padded
+  // tiles carry empty index maps (the contiguous slice), repacked tiles
+  // carry ascending maps inside their slice.
+  Rng rng(21);
+  nn::Network net = core::build_lenet(rng);
+  auto* conv2 = dynamic_cast<nn::Conv2dLayer*>(net.find("conv2"));
+  auto* fc1 = dynamic_cast<nn::DenseLayer*>(net.find("fc1"));
+  ASSERT_TRUE(conv2 != nullptr && fc1 != nullptr);
+  for (std::size_t i = 100; i < 500; ++i) {
+    for (std::size_t j = 0; j < conv2->weight().cols(); ++j) {
+      conv2->weight().at(i, j) = 0.0f;
+    }
+  }
+  for (std::size_t i = 0; i < fc1->weight().rows(); ++i) {
+    for (std::size_t j = 0; j < fc1->weight().cols(); ++j) {
+      if (i >= 200 || (j >= 110 && j < 290)) fc1->weight().at(i, j) = 0.0f;
+    }
+  }
+
+  CompileOptions padded;
+  padded.skip_empty_tiles = false;
+  CompileOptions skipped;
+  CompileOptions repacked;
+  repacked.repack = true;
+  for (const CompileOptions& options : {padded, skipped, repacked}) {
+    const CrossbarProgram program = compile(net, Shape{1, 28, 28}, options);
+    ASSERT_EQ(program.repacked(), options.repack);
+    EXPECT_EQ(program.skipped_tile_count() > 0,
+              options.skip_empty_tiles && !options.repack);
+    for (const Step& step : program.steps()) {
+      for (const MatrixPlan& plan : step.stages) {
+        SCOPED_TRACE(plan.name);
+        ASSERT_EQ(plan.column_tiles.size(), plan.grid.grid_cols());
+        std::vector<int> listed(plan.tiles.size(), 0);
+        for (std::size_t tc = 0; tc < plan.grid.grid_cols(); ++tc) {
+          const hw::GroupSlice col = hw::tile_slice(plan.grid, 0, tc);
+          std::size_t prev_row_end = 0;
+          for (const std::uint32_t ti : plan.column_tiles[tc]) {
+            ASSERT_LT(ti, plan.tiles.size());
+            ++listed[ti];
+            const ProgramTile& tile = plan.tiles[ti];
+            EXPECT_EQ(tile.slice.col_begin, col.col_begin);
+            EXPECT_EQ(tile.slice.col_end, col.col_end);
+            EXPECT_GE(tile.slice.row_begin, prev_row_end);  // ascending
+            prev_row_end = tile.slice.row_end;
+            if (!plan.repacked) {
+              EXPECT_TRUE(tile.in_gather.empty());
+              EXPECT_TRUE(tile.out_scatter.empty());
+              continue;
+            }
+            ASSERT_EQ(tile.in_gather.size(), tile.xbar.rows());
+            ASSERT_EQ(tile.out_scatter.size(), tile.xbar.cols());
+            for (std::size_t i = 0; i < tile.in_gather.size(); ++i) {
+              EXPECT_GE(tile.in_gather[i], tile.slice.row_begin);
+              EXPECT_LT(tile.in_gather[i], tile.slice.row_end);
+              if (i > 0) {
+                EXPECT_LT(tile.in_gather[i - 1], tile.in_gather[i]);
+              }
+            }
+            for (std::size_t j = 0; j < tile.out_scatter.size(); ++j) {
+              EXPECT_GE(tile.out_scatter[j], tile.slice.col_begin);
+              EXPECT_LT(tile.out_scatter[j], tile.slice.col_end);
+              if (j > 0) {
+                EXPECT_LT(tile.out_scatter[j - 1], tile.out_scatter[j]);
+              }
+            }
+          }
+          if (!plan.repacked) {
+            EXPECT_EQ(plan.column_tiles[tc].size(), plan.grid.grid_rows());
+          }
+        }
+        for (std::size_t t = 0; t < listed.size(); ++t) {
+          EXPECT_EQ(listed[t], 1) << "tile " << t;
+        }
+        EXPECT_EQ(plan.tiles.size() + plan.removed_tiles,
+                  plan.grid.tile_count());
       }
     }
   }

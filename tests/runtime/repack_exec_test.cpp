@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 
 #include "common/check.hpp"
 #include "common/thread_pool.hpp"
@@ -19,6 +20,7 @@
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
 #include "obs/exec_profile.hpp"
+#include "obs/trace.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/shard.hpp"
 
@@ -215,6 +217,50 @@ TEST(RepackExecTest, ProfilePricesTheCompressedSchedule) {
   EXPECT_LT(repacked_cost.partial_sum_bytes, padded_cost.partial_sum_bytes);
   EXPECT_EQ(repacked_cost.tiles_skipped, 0u);
   EXPECT_EQ(repacked_cost.tiles_executed, repacked.tile_count());
+}
+
+TEST(RepackExecTest, StageSpansSumToTheBatchProfile) {
+  // The per-stage span annotations of a traced forward price the same
+  // schedule the per-sample profile does: summed over every stage span they
+  // equal profile_program(p).scaled(B), on both lowerings.
+  nn::Network net = heavily_deleted_lenet();
+  auto* fc1 = dynamic_cast<nn::DenseLayer*>(net.find("fc1"));
+  ASSERT_NE(fc1, nullptr);
+  zero_cols(fc1->weight(), 110, 290);
+  constexpr std::size_t kBatch = 3;
+  const Tensor batch = random_batch(kBatch, 19);
+
+  CompileOptions padded_options;
+  CompileOptions repack_options;
+  repack_options.repack = true;
+  for (const CompileOptions& options : {padded_options, repack_options}) {
+    const CrossbarProgram program = compile(net, Shape{1, 28, 28}, options);
+    ASSERT_EQ(program.repacked(), options.repack);
+    ASSERT_EQ(program.skipped_tile_count() > 0, !options.repack);
+
+    obs::Trace trace(1);
+    Executor(program).forward(batch, ForwardTrace{&trace, obs::Trace::kRoot});
+    obs::ExecProfile spans;
+    std::size_t stage_spans = 0;
+    for (const obs::SpanRecord& span : trace.spans()) {
+      if (span.name.rfind("stage:", 0) != 0) continue;
+      ++stage_spans;
+      for (const auto& [key, value] : span.notes) {
+        const std::uint64_t n = std::stoull(value);
+        if (key == "tiles") spans.tiles_executed += n;
+        if (key == "skipped") spans.tiles_skipped += n;
+        if (key == "dac_conversions") spans.dac_conversions += n;
+        if (key == "adc_conversions") spans.adc_conversions += n;
+      }
+    }
+    EXPECT_EQ(stage_spans, program.stage_count());
+    const obs::ExecProfile expected =
+        obs::profile_program(program).scaled(kBatch);
+    EXPECT_EQ(spans.tiles_executed, expected.tiles_executed);
+    EXPECT_EQ(spans.tiles_skipped, expected.tiles_skipped);
+    EXPECT_EQ(spans.dac_conversions, expected.dac_conversions);
+    EXPECT_EQ(spans.adc_conversions, expected.adc_conversions);
+  }
 }
 
 TEST(RepackExecTest, FaultInjectionTouchesOnlyProgrammedCrossbars) {

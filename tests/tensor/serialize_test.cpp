@@ -73,6 +73,33 @@ TEST(Serialize, OverflowingShapeRejected) {
   EXPECT_THROW(read_tensor(ss), Error);
 }
 
+/// A GST1 header of rank 2 with the given dims and no payload.
+std::stringstream header_only(std::uint64_t rows, std::uint64_t cols) {
+  std::stringstream ss;
+  const std::uint32_t magic = 0x47535431;
+  const std::uint32_t rank = 2;
+  const std::uint64_t dims[] = {rows, cols};
+  ss.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
+  ss.write(reinterpret_cast<const char*>(&rank), sizeof(rank));
+  ss.write(reinterpret_cast<const char*>(dims), sizeof(dims));
+  return ss;
+}
+
+TEST(Serialize, HugeHeaderRejectedBeforeAllocating) {
+  // 2^61 elements: no overflow in the element count, but far more bytes
+  // than any allocator grants. The reader must refuse it as malformed input
+  // (gs::Error), not surface the allocator's std::length_error.
+  std::stringstream ss = header_only(1ULL << 31, 1ULL << 30);
+  EXPECT_THROW(read_tensor(ss), Error);
+}
+
+TEST(Serialize, HeaderLargerThanStreamRejected) {
+  // 2^26 elements (256 MiB) claimed by a header with no payload behind it:
+  // refused from the stream size, before any buffer is zero-filled.
+  std::stringstream ss = header_only(1ULL << 20, 1ULL << 6);
+  EXPECT_THROW(read_tensor(ss), Error);
+}
+
 TEST(Serialize, LoadFromMissingFileThrows) {
   EXPECT_THROW(load_tensor("/nonexistent-dir-xyz/tensor.bin"), Error);
 }
