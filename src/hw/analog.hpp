@@ -56,7 +56,7 @@ struct AnalogParams {
 /// injection/reprogramming mutator, which must not race any reader (the
 /// serving tier serialises it against execution with a per-replica program
 /// lock). Determinism: programming consumes the caller's Rng stream in a
-/// fixed element order, and accumulate_matvec() accumulates in double
+/// fixed element order, and accumulate_matmul() accumulates in double
 /// precision in fixed row order, so both the programmed weights and every
 /// MVM are bitwise reproducible.
 class AnalogCrossbar {
@@ -76,12 +76,24 @@ class AnalogCrossbar {
   /// direct use; network-level evaluation uses effective_weights()).
   Tensor matvec(const Tensor& x) const;
 
-  /// Raw per-tile MVM kernel: accumulates xᵀ·W_eff into `acc` (length
-  /// cols()), reading exactly rows() floats from `x`. Accumulation is double
-  /// precision in fixed row order, so repeated calls are bitwise
-  /// reproducible — this is the inner kernel of the crossbar runtime
-  /// executor (runtime/executor.hpp).
+  /// Row-block MVM kernel, the inner kernel of the crossbar runtime executor
+  /// (runtime/executor.hpp): for each of `rows` input vectors, packed
+  /// row-major in `x` (rows × rows() floats), accumulates xᵀ·W_eff into the
+  /// matching row of `y` (rows × cols() doubles). Register-blocked over
+  /// kMicroRows input vectors × two SIMD registers of output columns (16 on
+  /// AVX-512), so each weight row is streamed once per micro-tile rather
+  /// than once per vector. Every output element adds its rows() terms
+  /// x_i·w_ij in ascending i, in double precision (a float×float product is
+  /// exact there), whatever the blocking — results are bitwise independent
+  /// of `rows` and of how a caller splits its vectors into calls.
+  void accumulate_matmul(const float* x, std::size_t rows, double* y) const;
+
+  /// One-vector accumulate_matmul: y (cols()) += xᵀ·W_eff for x (rows()).
   void accumulate_matvec(const float* x, double* acc) const;
+
+  /// Input vectors per register micro-tile of accumulate_matmul; callers
+  /// size row blocks in multiples of it.
+  static constexpr std::size_t kMicroRows = 4;
 
   std::size_t rows() const { return effective_.rows(); }
   std::size_t cols() const { return effective_.cols(); }
@@ -96,7 +108,8 @@ class AnalogCrossbar {
   /// injection / reprogramming hook (hw/fault_model.hpp) — and re-derives
   /// the effective weights through the same differential read-out and
   /// IR-drop attenuation the constructor applied. Shapes must match the
-  /// programmed array; values are Siemens and must be positive.
+  /// programmed array; values are Siemens and must be positive and finite
+  /// (throws gs::Error otherwise, leaving the array unchanged).
   void set_conductances(Tensor g_plus, Tensor g_minus);
 
   /// Full-scale weight the conductance swing represents (fixed at

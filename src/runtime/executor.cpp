@@ -1,7 +1,8 @@
 #include "runtime/executor.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -43,6 +44,21 @@ std::uint64_t begin_stage_span(const ForwardTrace& trace,
   return span;
 }
 
+/// max |x_i| as a double, NaN never winning: the value of the
+/// `x_max = std::max(x_max, |x_i|)` chain from 0.0, taken as an integer max
+/// over |x| bit patterns (non-negative IEEE floats order as their bits),
+/// with NaN patterns (above +Inf's 0x7f800000) masked to 0 by a borrow bit
+/// rather than a select, which GCC vectorises.
+double max_abs(const float* x, std::size_t n) {
+  std::uint32_t m = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t b = std::bit_cast<std::uint32_t>(x[i]) & 0x7fffffffu;
+    const std::uint32_t nan = (0x7f800000u - b) >> 31;
+    m = std::max(m, b & (nan - 1u));
+  }
+  return static_cast<double>(std::bit_cast<float>(m));
+}
+
 }  // namespace
 
 Executor::Executor(const CrossbarProgram& program, ThreadPool* pool)
@@ -68,102 +84,108 @@ void Executor::apply_plan(const MatrixPlan& plan, const Tensor& act,
   const double adc_gain =
       plan.w_max * static_cast<double>(plan.grid.tile.rows);
 
+  ThreadPool& tp = pool();
+  // Row blocking only partitions work — per-row arithmetic is partition-
+  // independent — so the block size may track the pool size freely without
+  // affecting results. Whole kernel micro-tiles where the batch allows.
+  constexpr std::size_t kMicro = hw::AnalogCrossbar::kMicroRows;
+  std::size_t block = std::clamp<std::size_t>(
+      (rows + tp.size() * 4 - 1) / (tp.size() * 4), 1, 64);
+  block = std::min<std::size_t>((block + kMicro - 1) / kMicro * kMicro, 64);
+  const std::size_t row_blocks = (rows + block - 1) / block;
+
   // Converter front-end, hoisted out of the per-tile-column tasks: the
   // per-input-vector full scale and the DAC-quantised activations are pure
-  // per-row functions, so computing them once keeps every task's arithmetic
-  // unchanged while avoiding a grid_cols-fold rescan of the row.
+  // per-row functions, so computing them once per row block keeps every
+  // task's arithmetic unchanged while avoiding a grid_cols-fold rescan.
   std::vector<double> row_scale;
   Tensor dac_quantized;
   const Tensor* input = &act;
   if (need_scale) {
     row_scale.resize(rows);
-    if (conv.dac_levels > 0) dac_quantized = Tensor(act.shape());
-    for (std::size_t r = 0; r < rows; ++r) {
-      const float* x = act.data() + r * in_dim;
-      double x_max = 0.0;
-      for (std::size_t i = 0; i < in_dim; ++i) {
-        x_max = std::max(x_max, static_cast<double>(std::fabs(x[i])));
-      }
-      row_scale[r] = x_max;
-      if (conv.dac_levels > 0) {
+    if (conv.dac_levels > 0) {
+      dac_quantized = Tensor(act.shape());
+      input = &dac_quantized;
+    }
+    tp.parallel_for(row_blocks, [&](std::size_t rb) {
+      const std::size_t r1 = std::min(rb * block + block, rows);
+      for (std::size_t r = rb * block; r < r1; ++r) {
+        const float* x = act.data() + r * in_dim;
+        const double x_max = max_abs(x, in_dim);
+        row_scale[r] = x_max;
+        if (conv.dac_levels == 0) continue;
         float* q = dac_quantized.data() + r * in_dim;
         if (x_max > 0.0) {
-          for (std::size_t i = 0; i < in_dim; ++i) {
-            q[i] = static_cast<float>(
-                quantize_uniform(x[i], x_max, conv.dac_levels));
-          }
+          quantize_uniform_span(x, q, in_dim, x_max, conv.dac_levels);
         } else {
           std::copy(x, x + in_dim, q);
         }
       }
-    }
-    if (conv.dac_levels > 0) input = &dac_quantized;
+    });
   }
-
-  ThreadPool& tp = pool();
-  // Row blocking only partitions work — per-row arithmetic is partition-
-  // independent — so the block size may track the pool size freely without
-  // affecting results.
-  const std::size_t block = std::clamp<std::size_t>(
-      (rows + tp.size() * 4 - 1) / (tp.size() * 4), 1, 64);
-  const std::size_t row_blocks = (rows + block - 1) / block;
 
   tp.parallel_for(row_blocks * grid_cols, [&](std::size_t task) {
     const std::size_t tc = task % grid_cols;
     const std::size_t r0 = (task / grid_cols) * block;
-    const std::size_t r1 = std::min(r0 + block, rows);
+    const std::size_t n = std::min(r0 + block, rows) - r0;
+    const float* x = input->data() + r0 * in_dim;
     const hw::GroupSlice col = hw::tile_slice(plan.grid, 0, tc);
     const std::size_t width = col.col_end - col.col_begin;
-    std::vector<double> acc(width);
-    std::vector<double> partial(width);
-    std::vector<float> gathered;
+    std::vector<double> acc(n * width, 0.0);
+    std::vector<double> partial;
+    std::vector<float> packed;
 
-    for (std::size_t r = r0; r < r1; ++r) {
-      const float* x = input->data() + r * in_dim;
-      const double x_max = need_scale ? row_scale[r] : 0.0;
-      std::fill(acc.begin(), acc.end(), 0.0);
-      // column_tiles is ascending tile-row order, so every output element
-      // receives its partial sums in the same fixed order whether the plan
-      // is padded, skip-marked or repacked: a skipped tile or a dropped
-      // dead wire removes an exact zero term and leaves the rest bitwise
-      // unchanged (and identical at any pool size).
-      for (const std::uint32_t ti : plan.column_tiles[tc]) {
-        const ProgramTile& tile = plan.tiles[ti];
-        // Compile-proved zero contribution (empty tile after group
-        // deletion): eliding its MVM and ADC adds nothing.
-        if (tile.skip) continue;
-        const float* in = x + tile.slice.row_begin;
-        if (!tile.in_gather.empty()) {
-          gathered.resize(tile.in_gather.size());
-          for (std::size_t i = 0; i < gathered.size(); ++i) {
-            gathered[i] = x[tile.in_gather[i]];
-          }
-          in = gathered.data();
+    // column_tiles is ascending tile-row order, so every output element
+    // receives its partial sums in the same fixed order whether the plan is
+    // padded, skip-marked or repacked: a skipped tile or a dropped dead wire
+    // removes an exact zero term and leaves the rest bitwise unchanged (and
+    // identical at any pool size and block size).
+    for (const std::uint32_t ti : plan.column_tiles[tc]) {
+      const ProgramTile& tile = plan.tiles[ti];
+      // Compile-proved zero contribution (empty tile after group deletion):
+      // eliding its MVM and ADC adds nothing.
+      if (tile.skip) continue;
+      const std::size_t p = tile.xbar.rows();
+      const std::size_t q = tile.xbar.cols();
+      // Pack the block's inputs to this tile: its contiguous slice of each
+      // row, or the live wires through in_gather.
+      packed.resize(n * p);
+      for (std::size_t r = 0; r < n; ++r) {
+        const float* xr = x + r * in_dim;
+        float* dst = packed.data() + r * p;
+        if (tile.in_gather.empty()) {
+          std::copy(xr + tile.slice.row_begin, xr + tile.slice.row_begin + p,
+                    dst);
+        } else {
+          for (std::size_t i = 0; i < p; ++i) dst[i] = xr[tile.in_gather[i]];
         }
-        partial.assign(tile.xbar.cols(), 0.0);
-        tile.xbar.accumulate_matvec(in, partial.data());
+      }
+      partial.assign(n * q, 0.0);
+      tile.xbar.accumulate_matmul(packed.data(), n, partial.data());
+      for (std::size_t r = 0; r < n; ++r) {
+        double* part = partial.data() + r * q;
+        const double x_max = need_scale ? row_scale[r0 + r] : 0.0;
         if (conv.adc_levels > 0 && x_max > 0.0) {
           // ADC full scale is the PADDED tile geometry even on a repacked
           // array: the library converter does not shrink with the array.
-          const double full_scale = x_max * adc_gain;
-          for (double& v : partial) {
-            v = quantize_uniform(v, full_scale, conv.adc_levels);
-          }
+          quantize_uniform_span(part, part, q, x_max * adc_gain,
+                                conv.adc_levels);
         }
         // Digital partial-sum accumulation onto the output slice.
+        double* a = acc.data() + r * width;
         if (tile.out_scatter.empty()) {
-          for (std::size_t j = 0; j < partial.size(); ++j) {
-            acc[j] += partial[j];
-          }
+          for (std::size_t j = 0; j < q; ++j) a[j] += part[j];
         } else {
-          for (std::size_t j = 0; j < partial.size(); ++j) {
-            acc[tile.out_scatter[j] - col.col_begin] += partial[j];
+          for (std::size_t j = 0; j < q; ++j) {
+            a[tile.out_scatter[j] - col.col_begin] += part[j];
           }
         }
       }
-      float* dst = out.data() + r * out_dim + col.col_begin;
+    }
+    for (std::size_t r = 0; r < n; ++r) {
+      float* dst = out.data() + (r0 + r) * out_dim + col.col_begin;
       for (std::size_t j = 0; j < width; ++j) {
-        dst[j] = static_cast<float>(acc[j]);
+        dst[j] = static_cast<float>(acc[r * width + j]);
       }
     }
   });

@@ -5,22 +5,24 @@
 // the serving engine (runtime/shard.hpp) relies on this.
 //
 // One schedule: every crossbar stage runs the same loop whatever its
-// lowering (padded, padded with skip marks, or repacked). The stage is
-// dispatched on the gs::ThreadPool as independent (input-row block × tile
-// column) tasks — one task per disjoint output region. Within a task each
-// input row is processed alone: DAC-quantise the row, then walk the tile
-// column's schedule (MatrixPlan::column_tiles, ascending tile row) and for
-// each tile
+// lowering (padded, padded with skip marks, or repacked), in two passes on
+// the gs::ThreadPool. The converter front-end takes each input row's full
+// scale and DAC-quantises it, one task per row block. Then independent
+// (input-row block × tile column) tasks — one per disjoint output region —
+// walk the tile column's schedule (MatrixPlan::column_tiles, ascending tile
+// row) and for each tile
 //   * skip it if it is marked `skip` (a compile-time proof of an exactly
 //     zero contribution — the empty crossbars group connection deletion
 //     leaves behind);
-//   * feed it the contiguous slice of the row, or gather its live rows
-//     through `in_gather` (a repacked tile);
-//   * run its double-precision analog MVM and ADC;
+//   * pack the block's inputs from the contiguous slice of each row, or
+//     gather its live rows through `in_gather` (a repacked tile);
+//   * run the row-block double-precision analog MVM
+//     (AnalogCrossbar::accumulate_matmul) and each row's ADC;
 //   * add each partial sum into the output slice directly, or through
 //     `out_scatter`.
-// Per-output-element arithmetic is therefore a pure function of the row
-// and the tile schedule, independent of the thread count and the row
+// Per-output-element arithmetic is a pure function of the row and the tile
+// schedule (each partial adds its terms in ascending wire order whatever
+// the kernel's blocking), independent of the thread count and the row
 // blocking — results are bitwise identical for any GS_NUM_THREADS. A skipped
 // tile or a dropped dead wire only ever removes an exact zero term from a
 // fixed-order sum, so skipped, unskipped and repacked programs of the same

@@ -179,10 +179,7 @@ void NoisyForward::prepare_input(std::size_t layer, Tensor& x) {
     }
     pending_scales_[r] = x_max;
     if (conv.dac_levels > 0 && x_max > 0.0) {
-      for (std::size_t i = 0; i < stride; ++i) {
-        row[i] = static_cast<float>(
-            quantize_uniform(row[i], x_max, conv.dac_levels));
-      }
+      quantize_uniform_span(row, row, stride, x_max, conv.dac_levels);
     }
   }
 }
@@ -211,10 +208,7 @@ void NoisyForward::on_layer_output(nn::Network& net, std::size_t index,
         if (x_max <= 0.0) continue;
         const double full_scale = x_max * gain;
         float* row = data + r * stride;
-        for (std::size_t i = 0; i < stride; ++i) {
-          row[i] = static_cast<float>(
-              quantize_uniform(row[i], full_scale, conv.adc_levels));
-        }
+        quantize_uniform_span(row, row, stride, full_scale, conv.adc_levels);
       }
     }
   }

@@ -21,7 +21,7 @@
 //    weights each step), then the next realisation models a fresh chip.
 //  * converter rounding — DAC quantisation of the activations entering a
 //    crossbar step and ADC rounding of the partial sums leaving it, using
-//    the executor's quantize_uniform with the executor's full-scale
+//    the executor's quantize_uniform_span with the executor's full-scale
 //    conventions (per input vector for the DAC; x_max·w_max·rows for the
 //    ADC). Training applies the ADC at MATRIX granularity (the single-tile
 //    equivalent, after the bias) and only to single-stage steps — a coarser

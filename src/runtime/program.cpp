@@ -13,26 +13,88 @@
 
 namespace gs::runtime {
 
-double quantize_uniform(double v, double full_scale, std::size_t levels) {
+namespace {
+
+/// The converter arithmetic on n values in place, bitwise equal to
+///   idx = clamp(std::round((v + fs) / step), 0, levels - 1)
+///   out = (odd levels && idx == mid) ? 0.0 : -fs + idx * step
+/// for every input, NaN → NaN included, given 2 <= levels <= 2^52 and
+/// fs >= 0. The loop has no data-dependent branch and no operation under a
+/// condition, so GCC vectorises it (double data only) on SSE2, AVX and
+/// AVX-512 alike:
+///  * std::round (half away from zero) is rebuilt from the 2^52 trick,
+///    which rounds |y| < 2^52 to nearest-even exactly, plus a tie fix-up
+///    (r − |y| is exact, and −0.5 only on a tie rounded down). Any
+///    |y| >= 2^52 (±Inf included) lands at or beyond 2^52 > levels − 1, so
+///    the clamp gives the rail exactly as for a correctly rounded y;
+///  * the mid state selects the operands, not the result: 0 and 0 make
+///    -0 + 0·step = +0, and otherwise the expression is the scalar one, so
+///    FMA contraction matches.
+void quantize_block(double* t, std::size_t n, double full_scale,
+                    std::size_t levels) {
   const double step = 2.0 * full_scale / static_cast<double>(levels - 1);
-  double idx = std::round((v + full_scale) / step);
-  idx = std::clamp(idx, 0.0, static_cast<double>(levels - 1));
+  const double top = static_cast<double>(levels - 1);
   // The mid state of an odd-count quantizer represents exactly 0. Return it
-  // as such: the -fs + idx·step reconstruction below carries rounding error
+  // as such: the -fs + idx·step reconstruction carries rounding error
   // whenever (levels-1) is not a power of two, and the tile-skip contract
   // requires a zero partial sum to round-trip to exactly 0 through an
-  // odd-count ADC.
-  if (levels % 2 == 1 && idx == static_cast<double>((levels - 1) / 2)) {
-    return 0.0;
+  // odd-count ADC. An even count gets -1, which no clamped index equals.
+  const double mid =
+      levels % 2 == 1 ? static_cast<double>((levels - 1) / 2) : -1.0;
+  constexpr double kTwo52 = 4503599627370496.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double y = (t[i] + full_scale) / step;
+    const double a = std::fabs(y);
+    double r = (a + kTwo52) - kTwo52;
+    r += r - a == -0.5 ? 1.0 : 0.0;
+    r = std::copysign(r, y);
+    double idx = r < 0.0 ? 0.0 : r;
+    idx = idx > top ? top : idx;
+    const bool zero = idx == mid;
+    const double fs = zero ? 0.0 : full_scale;
+    const double k = zero ? 0.0 : idx;
+    t[i] = -fs + k * step;
   }
-  return -full_scale + idx * step;
+}
+
+}  // namespace
+
+void quantize_uniform_span(const double* in, double* out, std::size_t n,
+                           double full_scale, std::size_t levels) {
+  if (out != in) std::copy(in, in + n, out);
+  quantize_block(out, n, full_scale, levels);
+}
+
+void quantize_uniform_span(const float* in, float* out, std::size_t n,
+                           double full_scale, std::size_t levels) {
+  // GCC vectorises the arithmetic for double data only: widen through a
+  // 2 KiB stack block, quantise it in place, narrow back.
+  constexpr std::size_t kBlock = 256;
+  double block[kBlock];
+  for (std::size_t i0 = 0; i0 < n; i0 += kBlock) {
+    const std::size_t m = std::min(kBlock, n - i0);
+    for (std::size_t i = 0; i < m; ++i) block[i] = in[i0 + i];
+    quantize_block(block, m, full_scale, levels);
+    for (std::size_t i = 0; i < m; ++i) {
+      out[i0 + i] = static_cast<float>(block[i]);
+    }
+  }
+}
+
+double quantize_uniform(double v, double full_scale, std::size_t levels) {
+  quantize_block(&v, 1, full_scale, levels);
+  return v;
 }
 
 void DacAdcParams::validate() const {
-  GS_CHECK_MSG(dac_levels == 0 || dac_levels >= 2,
-               "dac_levels must be 0 (ideal) or >= 2");
-  GS_CHECK_MSG(adc_levels == 0 || adc_levels >= 2,
-               "adc_levels must be 0 (ideal) or >= 2");
+  // quantize_uniform_span is exact up to 2^52 states (the double mantissa).
+  constexpr std::size_t kMaxLevels = std::size_t{1} << 52;
+  GS_CHECK_MSG(
+      dac_levels == 0 || (dac_levels >= 2 && dac_levels <= kMaxLevels),
+      "dac_levels must be 0 (ideal) or in [2, 2^52]");
+  GS_CHECK_MSG(
+      adc_levels == 0 || (adc_levels >= 2 && adc_levels <= kMaxLevels),
+      "adc_levels must be 0 (ideal) or in [2, 2^52]");
 }
 
 std::size_t MatrixPlan::skipped_tile_count() const {

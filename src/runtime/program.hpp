@@ -59,8 +59,9 @@
 namespace gs::runtime {
 
 /// Digital/analog converter resolution at each crossbar stage boundary.
-/// `levels` counts uniformly-spaced states across the full scale; 0 keeps
-/// the boundary ideal (float passthrough), mirroring AnalogParams::levels.
+/// `levels` counts uniformly-spaced states across the full scale (at most
+/// 2^52); 0 keeps the boundary ideal (float passthrough), mirroring
+/// AnalogParams::levels.
 struct DacAdcParams {
   std::size_t dac_levels = 0;  ///< input-voltage states (0 = ideal DAC)
   std::size_t adc_levels = 0;  ///< readout states (0 = ideal ADC)
@@ -68,13 +69,22 @@ struct DacAdcParams {
   void validate() const;
 };
 
-/// The shared converter model: snaps `v` to the nearest of `levels`
-/// uniformly-spaced states across [-full_scale, +full_scale], clamping at
-/// the rails. The mid state of an odd level count returns exactly 0.0 (the
-/// tile-skip contract requires a zero partial sum to round-trip through an
-/// odd-count ADC). Used by the executor at every DAC/ADC boundary and by
-/// the training-time noise model (noise_model.hpp), so both quantise
-/// identically. Requires levels >= 2.
+/// The shared converter model: snaps each of the `n` values of `in` to the
+/// nearest of `levels` uniformly-spaced states across [-full_scale,
+/// +full_scale] (round half away from zero), clamping at the rails, and
+/// writes it to `out` (which equals `in` or does not overlap it). The mid
+/// state of an odd level count returns exactly 0.0 (the tile-skip contract
+/// requires a zero partial sum to round-trip through an odd-count ADC); NaN
+/// stays NaN. Used by the executor at every DAC/ADC boundary and by the
+/// training-time noise model (noise_model.hpp), so both quantise
+/// identically. The float overload widens to double, quantises and narrows
+/// back. Requires 2 <= levels <= 2^52 and full_scale >= 0.
+void quantize_uniform_span(const double* in, double* out, std::size_t n,
+                           double full_scale, std::size_t levels);
+void quantize_uniform_span(const float* in, float* out, std::size_t n,
+                           double full_scale, std::size_t levels);
+
+/// One-element quantize_uniform_span.
 double quantize_uniform(double v, double full_scale, std::size_t levels);
 
 /// Everything compile() needs to know about the target hardware. The

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "common/rng.hpp"
 
@@ -151,6 +154,70 @@ TEST(AnalogCrossbar, MatvecMatchesEffectiveWeights) {
     }
     EXPECT_NEAR(y[j], acc, 1e-4);
   }
+}
+
+TEST(AnalogCrossbar, AccumulateMatmulMatchesScalarLoopBitwise) {
+  // The register-blocked kernel against the plain per-vector loop (zero
+  // inputs skipped, as the per-row loop did), over micro-tile row tails and
+  // 16/8/scalar column tails, starting from nonzero accumulators.
+  Rng rng(30);
+  for (const std::size_t p : {1u, 7u, 64u}) {
+    for (const std::size_t q : {1u, 7u, 8u, 10u, 16u, 25u, 50u, 64u}) {
+      AnalogParams params = ideal_params();
+      params.levels = 64;
+      const AnalogCrossbar xbar(random_weights(p, q, 31 + p * q), 1.0,
+                                params, rng);
+      const float* w = xbar.effective_weights().data();
+      for (const std::size_t rows : {1u, 2u, 3u, 4u, 5u, 9u}) {
+        std::vector<float> x(rows * p);
+        for (std::size_t i = 0; i < x.size(); ++i) {
+          x[i] = i % 3 == 0 ? 0.0f : static_cast<float>(rng.gaussian());
+        }
+        std::vector<double> y(rows * q);
+        for (double& v : y) v = rng.gaussian();
+        std::vector<double> want = y;
+        for (std::size_t r = 0; r < rows; ++r) {
+          for (std::size_t i = 0; i < p; ++i) {
+            const double xi = x[r * p + i];
+            if (xi == 0.0) continue;
+            for (std::size_t j = 0; j < q; ++j) {
+              want[r * q + j] += xi * static_cast<double>(w[i * q + j]);
+            }
+          }
+        }
+        xbar.accumulate_matmul(x.data(), rows, y.data());
+        EXPECT_EQ(std::memcmp(y.data(), want.data(), y.size() * sizeof(double)),
+                  0)
+            << p << "x" << q << " rows " << rows;
+      }
+    }
+  }
+}
+
+TEST(AnalogCrossbar, SetConductancesRejectsNonFinite) {
+  Rng rng(32);
+  AnalogCrossbar xbar(random_weights(4, 3, 33), 1.0, ideal_params(), rng);
+  const Tensor before = xbar.effective_weights();
+  for (const float bad : {std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity(),
+                          std::numeric_limits<float>::quiet_NaN(), 0.0f,
+                          -1e-6f}) {
+    Tensor gp = xbar.conductance_plus();
+    Tensor gm = xbar.conductance_minus();
+    gp.at(1, 2) = bad;
+    EXPECT_THROW(xbar.set_conductances(gp, xbar.conductance_minus()), Error)
+        << bad;
+    gm.at(3, 0) = bad;
+    EXPECT_THROW(xbar.set_conductances(xbar.conductance_plus(), gm), Error)
+        << bad;
+  }
+  // A rejected write leaves the programmed array untouched.
+  EXPECT_EQ(std::memcmp(xbar.effective_weights().data(), before.data(),
+                        before.numel() * sizeof(float)),
+            0);
+  Tensor gp = xbar.conductance_plus();
+  gp.at(0, 0) = 5e-5f;
+  EXPECT_NO_THROW(xbar.set_conductances(gp, xbar.conductance_minus()));
 }
 
 TEST(AnalogEffectiveMatrix, TiledMatchesShapeAndIdealCase) {
