@@ -1,10 +1,15 @@
 // Micro-benchmarks of the LRA solvers at the covariance sizes rank clipping
-// actually eigen-solves (the fan-out M of each paper layer). The randomized
-// SVD shapes micro_gemm already times (800x64, 2048x512) are not repeated.
+// actually eigen-solves (the fan-out M of each paper layer, up to the
+// 500×500 Gram of LeNet fc1). Every eigen_sym record carries residual_ok:
+// the decomposition it timed satisfies A·V = V·Λ and VᵀV = I. The
+// randomized SVD shapes micro_gemm already times (800x64, 2048x512) are not
+// repeated.
 //
 // Emits BENCH_linalg.json (seconds per case) into the working directory and
 // prints the same table to stdout — the same bench_util scaffolding as
 // micro_hw. Pass --smoke for a few-rep CI run.
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -47,6 +52,32 @@ BenchRecord timed(const std::string& name, const std::string& shape,
   return rec;
 }
 
+/// ‖A·V − V·Λ‖_max ≤ 1e-5·|λ₀| and ‖VᵀV − I‖_max ≤ 1e-5, accumulated in
+/// double over the float eigenvectors (whose rounding sets the bound).
+bool eigen_residual_ok(const Tensor& a, const linalg::EigenResult& e) {
+  const std::size_t n = a.rows();
+  const Tensor& v = e.eigenvectors;
+  const double scale = std::max(std::fabs(e.eigenvalues.front()),
+                                std::fabs(e.eigenvalues.back()));
+  double residual = 0.0;
+  double orthogonality = 0.0;
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t i = 0; i < n; ++i) {
+      double av = 0.0;
+      double vtv = 0.0;
+      for (std::size_t k = 0; k < n; ++k) {
+        av += static_cast<double>(a.at(i, k)) * v.at(k, j);
+        vtv += static_cast<double>(v.at(k, i)) * v.at(k, j);
+      }
+      residual =
+          std::max(residual, std::fabs(av - e.eigenvalues[j] * v.at(i, j)));
+      orthogonality =
+          std::max(orthogonality, std::fabs(vtv - (i == j ? 1.0 : 0.0)));
+    }
+  }
+  return residual <= 1e-5 * scale && orthogonality <= 1e-5;
+}
+
 }  // namespace
 }  // namespace gs::bench
 
@@ -65,17 +96,22 @@ int main(int argc, char** argv) {
                 : "micro_linalg: LRA solvers");
   std::vector<BenchRecord> records;
 
-  for (const std::size_t n : {20, 50, 64, 128}) {
-    const Tensor a = matmul(random_matrix(n, n, 1), random_matrix(n, n, 1),
-                            /*ta=*/true);
+  // n×n Grams of n×n Gaussians, then the LeNet fc1 Gram (800×500 weight).
+  for (const Dims d : {Dims{20, 20}, Dims{50, 50}, Dims{64, 64},
+                       Dims{128, 128}, Dims{800, 500}}) {
+    const Tensor w = random_matrix(d.rows, d.cols, 1);
+    const Tensor a = matmul(w, w, /*ta=*/true);
     const double s = time_median_seconds(
         [&] {
           volatile double v = eigen_sym(a).eigenvalues[0];
           (void)v;
         },
         reps);
-    records.push_back(
-        timed("jacobi_eigen_" + std::to_string(n), dims(n, n), s));
+    const std::size_t n = d.cols;
+    records.push_back(timed("eigen_sym_" + std::to_string(n), dims(n, n), s)
+                          .metric("residual_ok",
+                                  eigen_residual_ok(a, eigen_sym(a)) ? 1.0
+                                                                     : 0.0));
   }
 
   // LeNet conv2 weight, ConvNet conv3 weight, a crossbar-sized square.

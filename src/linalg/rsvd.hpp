@@ -1,6 +1,6 @@
 // Randomized truncated SVD (Halko–Martinsson–Tropp).
 //
-// The exact Jacobi SVD costs O(min(N,M)³); rank clipping only ever needs the
+// The exact Gram-eigen SVD costs O(min(N,M)³); rank clipping only ever needs the
 // top-K components, and K shrinks fast. The randomized range finder gets
 // those components in O(N·M·(K+p)) with a few power iterations — the
 // practical choice when scaling this library beyond the paper's layer sizes

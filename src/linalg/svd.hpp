@@ -1,9 +1,9 @@
 // Thin singular value decomposition.
 //
-// Computed via the symmetric Jacobi eigendecomposition of the smaller Gram
-// matrix (AᵀA or AAᵀ): for an N×M input this costs one min(N,M)³ eigen solve
-// plus two GEMMs — ideal for the skinny factor matrices rank clipping
-// produces. Singular vectors for (numerically) zero singular values are
+// Computed via the symmetric (tridiagonal QL) eigendecomposition of the
+// smaller Gram matrix (AᵀA or AAᵀ): for an N×M input this costs one
+// min(N,M)³ eigen solve plus two GEMMs — ideal for the skinny factor
+// matrices rank clipping produces. Singular vectors for (numerically) zero singular values are
 // dropped; the decomposition is thin with rank r = #{σᵢ > cutoff}.
 #pragma once
 

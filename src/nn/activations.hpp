@@ -19,7 +19,7 @@ class ReluLayer final : public Layer {
 
  private:
   std::string name_;
-  Tensor mask_;  // 1 where input > 0
+  Tensor mask_;  // 1 where input > 0 (train forwards only)
 };
 
 /// Collapses B×C×H×W into B×(C·H·W) for the FC stage.

@@ -43,9 +43,12 @@ Tensor Conv2dLayer::forward(const Tensor& input, bool train) {
   const std::size_t sample = shape_numel(chw);
   const bool use_compressed = !train && compressed_;
 
-  if (!use_compressed) {
+  if (train) {
     cached_cols_.assign(batch, Tensor());
     cached_batch_ = batch;
+  } else {
+    std::vector<Tensor>().swap(cached_cols_);
+    cached_batch_ = 0;
   }
   Tensor output(Shape{batch, f, oh, ow});
 
@@ -60,7 +63,7 @@ Tensor Conv2dLayer::forward(const Tensor& input, bool train) {
     if (use_compressed) {
       // Eval-only compressed product: gather the live patch columns, run
       // the packed panel, scatter filters (deleted filters are zero until
-      // the bias lands). The training path keeps its caches for backward.
+      // the bias lands).
       linalg::compressed_gemm(cols, panel_, out_mat);
     } else {
       gemm(cols, /*ta=*/false, weight_, /*tb=*/false, out_mat);
@@ -74,7 +77,7 @@ Tensor Conv2dLayer::forward(const Tensor& input, bool train) {
         dst[c * oh * ow + p] = row[c];
       }
     }
-    if (!use_compressed) cached_cols_[b] = std::move(cols);
+    if (train) cached_cols_[b] = std::move(cols);
   }
   return output;
 }

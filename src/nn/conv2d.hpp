@@ -60,7 +60,7 @@ class Conv2dLayer final : public Layer {
   linalg::CompressedPanel panel_;  // eval-only snapshot of weight_
   bool compressed_ = false;
 
-  // Forward caches for backward.
+  // Train-forward caches for backward; eval forwards release them.
   ConvGeometry geometry_;             // geometry of the last forward
   std::vector<Tensor> cached_cols_;   // per-sample im2col matrices
   std::size_t cached_batch_ = 0;

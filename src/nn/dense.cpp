@@ -22,16 +22,20 @@ Tensor DenseLayer::forward(const Tensor& input, bool train) {
   GS_CHECK_MSG(input.rank() == 2 && input.cols() == in_,
                name_ << ": input shape " << shape_to_string(input.shape())
                      << " vs in_features " << in_);
+  // Eval forwards keep no input — backward is a training-path concern.
+  if (train) {
+    cached_input_ = input;
+  } else {
+    cached_input_ = Tensor();
+  }
   if (!train && compressed_) {
     // Eval-only compressed path: multiply the packed live-rows × live-cols
     // panel (deleted output columns come back as exact zeros, so the bias
     // add below matches the dense product bitwise on truly-zero weights).
-    // No input caching — backward is a training-path concern.
     Tensor out = linalg::compressed_matmul(input, panel_);
     add_row_vector(out, bias_);
     return out;
   }
-  cached_input_ = input;
   Tensor out = matmul(input, weight_);
   add_row_vector(out, bias_);
   return out;

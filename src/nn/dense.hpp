@@ -47,7 +47,7 @@ class DenseLayer final : public Layer {
   Tensor bias_;         // (out)
   Tensor weight_grad_;  // same shapes
   Tensor bias_grad_;
-  Tensor cached_input_;  // (B, in) from last forward
+  Tensor cached_input_;  // (B, in) from the last train forward
   linalg::CompressedPanel panel_;  // eval-only snapshot of weight_
   bool compressed_ = false;
 };

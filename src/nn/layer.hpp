@@ -7,8 +7,11 @@
 //    the paper's crossbar mapper consumes matrices (DESIGN.md §1);
 //  * conv weights: unrolled (C·kh·kw, F), same orientation.
 //
-// forward() caches whatever backward() needs; backward() must be called at
-// most once per forward() and returns the gradient w.r.t. the layer input.
+// A train-mode forward() caches whatever backward() needs; backward() must
+// be called at most once per such forward() and returns the gradient w.r.t.
+// the layer input. An eval-mode forward (train == false) computes only the
+// output and releases any cache held from an earlier train forward, so a
+// following backward() throws "backward before forward".
 #pragma once
 
 #include <string>
@@ -30,8 +33,8 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  /// Computes the layer output. `train` toggles train-time behaviour
-  /// (currently only affects layers that sample, e.g. future dropout).
+  /// Computes the layer output. `train` toggles train-time behaviour: the
+  /// backward caches, and sampling layers such as dropout.
   virtual Tensor forward(const Tensor& input, bool train) = 0;
 
   /// Backpropagates: consumes dL/d(output), returns dL/d(input) and

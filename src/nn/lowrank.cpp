@@ -46,11 +46,16 @@ LowRankDense::LowRankDense(std::string name, Tensor u, Tensor vt, Tensor bias)
 Tensor LowRankDense::forward(const Tensor& input, bool train) {
   GS_CHECK_MSG(input.rank() == 2 && input.cols() == in_,
                name_ << ": input " << shape_to_string(input.shape()));
-  if (!train && compressed_) {
-    // Eval-only compressed chain: both factor products run on their packed
-    // live panels (no caching — backward is a training-path concern).
-    const Tensor hidden = linalg::compressed_matmul(input, u_panel_);
-    Tensor out = linalg::compressed_matmul(hidden, vt_panel_);
+  if (!train) {
+    // Eval: no caches — backward is a training-path concern. The compressed
+    // chain runs both factor products on their packed live panels.
+    cached_input_ = Tensor();
+    cached_hidden_ = Tensor();
+    const Tensor hidden = compressed_
+                              ? linalg::compressed_matmul(input, u_panel_)
+                              : matmul(input, u_);
+    Tensor out = compressed_ ? linalg::compressed_matmul(hidden, vt_panel_)
+                             : matmul(hidden, vt_);
     add_row_vector(out, bias_);
     return out;
   }
@@ -171,10 +176,14 @@ Tensor LowRankConv2d::forward(const Tensor& input, bool train) {
   const std::size_t sample = shape_numel(chw);
   const bool use_compressed = !train && compressed_;
 
-  if (!use_compressed) {
+  if (train) {
     cached_cols_.assign(batch, Tensor());
     cached_hidden_.assign(batch, Tensor());
     cached_batch_ = batch;
+  } else {
+    std::vector<Tensor>().swap(cached_cols_);
+    std::vector<Tensor>().swap(cached_hidden_);
+    cached_batch_ = 0;
   }
   Tensor output(Shape{batch, f, oh, ow});
 
@@ -183,8 +192,7 @@ Tensor LowRankConv2d::forward(const Tensor& input, bool train) {
     std::copy(input.data() + b * sample, input.data() + (b + 1) * sample,
               image.data());
     Tensor cols = im2col(image, geometry_);    // (oh·ow, patch)
-    // Eval-only compressed chain over both factor products; the training
-    // path keeps its caches for backward.
+    // Eval-only compressed chain over both factor products.
     Tensor hidden = use_compressed
                         ? linalg::compressed_matmul(cols, u_panel_)
                         : matmul(cols, u_);    // (oh·ow, K)
@@ -199,7 +207,7 @@ Tensor LowRankConv2d::forward(const Tensor& input, bool train) {
         dst[c * oh * ow + p] = row[c];
       }
     }
-    if (!use_compressed) {
+    if (train) {
       cached_cols_[b] = std::move(cols);
       cached_hidden_[b] = std::move(hidden);
     }

@@ -35,6 +35,7 @@ class Pool2dLayer final : public Layer {
   std::size_t kernel_;
   std::size_t stride_;
 
+  // Train-forward caches for backward; eval forwards release them.
   Shape cached_input_shape_;
   std::vector<std::size_t> argmax_;  // flat input index per output element
 

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <mutex>
 #include <vector>
 
 #include "common/check.hpp"
@@ -61,8 +62,64 @@ double max_abs(const float* x, std::size_t n) {
 
 }  // namespace
 
+/// The free list of activation buffers. Holds at most the buffers of the
+/// largest set of intermediates that were alive at once, each at most the
+/// largest request it served.
+class Executor::Buffers {
+ public:
+  /// A tensor of `shape` whose contents are unspecified: the caller writes
+  /// every element. Reuses the free buffer of least capacity that fits, else
+  /// replaces the largest free one, else allocates.
+  Tensor take(Shape shape) {
+    const std::size_t n = shape_numel(shape);
+    std::vector<float> buffer;
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      std::size_t pick = free_.size();
+      for (std::size_t i = 0; i < free_.size(); ++i) {
+        if (pick == free_.size()) {
+          pick = i;
+          continue;
+        }
+        const std::size_t cap = free_[i].capacity();
+        const std::size_t best = free_[pick].capacity();
+        const bool fits = cap >= n;
+        if (fits != (best >= n) ? fits : (fits ? cap < best : cap > best)) {
+          pick = i;
+        }
+      }
+      if (pick < free_.size()) {
+        buffer = std::move(free_[pick]);
+        free_[pick] = std::move(free_.back());
+        free_.pop_back();
+      }
+    }
+    if (buffer.capacity() < n) {
+      std::vector<float>().swap(buffer);
+    }
+    buffer.resize(n);
+    return Tensor(std::move(shape), std::move(buffer));
+  }
+
+  /// Returns `t`'s storage to the free list and leaves `t` empty.
+  void give(Tensor& t) {
+    std::vector<float> buffer = t.release();
+    if (buffer.capacity() == 0) return;
+    const std::lock_guard<std::mutex> lock(mu_);
+    free_.push_back(std::move(buffer));
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<std::vector<float>> free_;
+};
+
 Executor::Executor(const CrossbarProgram& program, ThreadPool* pool)
-    : program_(&program), pool_(pool) {}
+    : program_(&program), pool_(pool), buffers_(std::make_unique<Buffers>()) {}
+
+Executor::~Executor() = default;
+Executor::Executor(Executor&&) noexcept = default;
+Executor& Executor::operator=(Executor&&) noexcept = default;
 
 ThreadPool& Executor::pool() const {
   return pool_ != nullptr ? *pool_ : ThreadPool::global();
@@ -104,7 +161,7 @@ void Executor::apply_plan(const MatrixPlan& plan, const Tensor& act,
   if (need_scale) {
     row_scale.resize(rows);
     if (conv.dac_levels > 0) {
-      dac_quantized = Tensor(act.shape());
+      dac_quantized = buffers_->take(act.shape());
       input = &dac_quantized;
     }
     tp.parallel_for(row_blocks, [&](std::size_t rb) {
@@ -189,6 +246,7 @@ void Executor::apply_plan(const MatrixPlan& plan, const Tensor& act,
       }
     }
   });
+  buffers_->give(dac_quantized);
 }
 
 Tensor Executor::run_linear(const Step& step, const Tensor& act,
@@ -196,19 +254,22 @@ Tensor Executor::run_linear(const Step& step, const Tensor& act,
   const Tensor* cur = &act;
   Tensor reshaped;
   if (act.rank() != 2) {
-    reshaped = act;
-    reshaped.reshape(Shape{act.dim(0), shape_numel(step.in_shape)});
+    reshaped = buffers_->take(Shape{act.dim(0), shape_numel(step.in_shape)});
+    GS_CHECK(reshaped.numel() == act.numel());
+    std::copy(act.data(), act.data() + act.numel(), reshaped.data());
     cur = &reshaped;
   }
   Tensor out;
   for (const MatrixPlan& plan : step.stages) {
     const std::uint64_t span = begin_stage_span(trace, plan, cur->rows());
-    Tensor next(Shape{cur->rows(), plan.grid.cols});
+    Tensor next = buffers_->take(Shape{cur->rows(), plan.grid.cols});
     apply_plan(plan, *cur, next);
     if (span != 0) trace.trace->end_span(span);
+    buffers_->give(out);
     out = std::move(next);
     cur = &out;
   }
+  buffers_->give(reshaped);
   if (step.bias.numel() > 0) add_row_vector(out, step.bias);
   return out;
 }
@@ -229,7 +290,7 @@ Tensor Executor::run_conv(const Step& step, const Tensor& act,
   GS_CHECK_MSG(act.dim(1) == g.in_channels && act.dim(2) == g.in_height &&
                    act.dim(3) == g.in_width,
                step.name << ": conv input " << shape_to_string(act.shape()));
-  Tensor cols(Shape{batch * patches, patch});
+  Tensor cols = buffers_->take(Shape{batch * patches, patch});
   pool().parallel_for(batch, [&](std::size_t b) {
     im2col(act.data() + b * sample, g, cols.data() + b * patches * patch);
   });
@@ -237,9 +298,10 @@ Tensor Executor::run_conv(const Step& step, const Tensor& act,
   Tensor cur = std::move(cols);
   for (const MatrixPlan& plan : step.stages) {
     const std::uint64_t span = begin_stage_span(trace, plan, cur.rows());
-    Tensor next(Shape{cur.rows(), plan.grid.cols});
+    Tensor next = buffers_->take(Shape{cur.rows(), plan.grid.cols});
     apply_plan(plan, cur, next);
     if (span != 0) trace.trace->end_span(span);
+    buffers_->give(cur);
     cur = std::move(next);
   }
   const std::size_t filters = step.out_shape[0];
@@ -248,7 +310,7 @@ Tensor Executor::run_conv(const Step& step, const Tensor& act,
   if (step.bias.numel() > 0) add_row_vector(cur, step.bias);
 
   // Re-tile (B·oh·ow, F) patch-major results into channel-major B×F×oh×ow.
-  Tensor out(Shape{batch, filters, oh, ow});
+  Tensor out = buffers_->take(Shape{batch, filters, oh, ow});
   pool().parallel_for(batch, [&](std::size_t b) {
     const float* src = cur.data() + b * patches * filters;
     float* dst = out.data() + b * filters * patches;
@@ -258,6 +320,7 @@ Tensor Executor::run_conv(const Step& step, const Tensor& act,
       }
     }
   });
+  buffers_->give(cur);
   return out;
 }
 
@@ -277,7 +340,7 @@ Tensor Executor::run_pool(const Step& step, const Tensor& act) const {
            ow == step.out_shape[2]);
   const bool is_max = step.kind == Step::Kind::kMaxPool;
 
-  Tensor out(Shape{batch, channels, oh, ow});
+  Tensor out = buffers_->take(Shape{batch, channels, oh, ow});
   pool().parallel_for(batch * channels, [&](std::size_t plane) {
     const float* in_plane = act.data() + plane * ih * iw;
     float* out_plane = out.data() + plane * oh * ow;
@@ -330,7 +393,14 @@ Tensor Executor::forward(const Tensor& batch, const ForwardTrace& trace) const {
   const std::size_t b = batch.dim(0);
   GS_CHECK(b > 0);
 
-  Tensor x = batch;
+  Tensor x = buffers_->take(batch.shape());
+  std::copy(batch.data(), batch.data() + batch.numel(), x.data());
+  // Each step's output replaces x; the consumed input goes back to the
+  // free list.
+  const auto advance = [&](Tensor next) {
+    buffers_->give(x);
+    x = std::move(next);
+  };
   for (const Step& step : program_->steps()) {
     // Per-step execute span; crossbar steps nest per-stage detail spans.
     std::uint64_t step_span = 0;
@@ -341,10 +411,10 @@ Tensor Executor::forward(const Tensor& batch, const ForwardTrace& trace) const {
     }
     switch (step.kind) {
       case Step::Kind::kLinear:
-        x = run_linear(step, x, step_trace);
+        advance(run_linear(step, x, step_trace));
         break;
       case Step::Kind::kConv:
-        x = run_conv(step, x, step_trace);
+        advance(run_conv(step, x, step_trace));
         break;
       case Step::Kind::kRelu: {
         float* data = x.data();
@@ -355,7 +425,7 @@ Tensor Executor::forward(const Tensor& batch, const ForwardTrace& trace) const {
       }
       case Step::Kind::kMaxPool:
       case Step::Kind::kAvgPool:
-        x = run_pool(step, x);
+        advance(run_pool(step, x));
         break;
       case Step::Kind::kFlatten:
         x.reshape(Shape{b, x.numel() / b});
@@ -365,7 +435,11 @@ Tensor Executor::forward(const Tensor& batch, const ForwardTrace& trace) const {
     }
     if (step_span != 0) trace.trace->end_span(step_span);
   }
-  return x;
+  // The logits leave as a fresh tensor of their own size: a recycled buffer
+  // may carry the capacity of a much larger intermediate.
+  Tensor logits(x.shape(), std::vector<float>(x.data(), x.data() + x.numel()));
+  buffers_->give(x);
+  return logits;
 }
 
 double evaluate(const Executor& executor, const data::Dataset& dataset,

@@ -133,6 +133,11 @@ Tensor Tensor::reshaped(Shape new_shape) const {
   return copy;
 }
 
+std::vector<float> Tensor::release() {
+  shape_.clear();
+  return std::move(data_);
+}
+
 void Tensor::fill_uniform(Rng& rng, float lo, float hi) {
   for (float& v : data_) {
     v = static_cast<float>(rng.uniform(lo, hi));

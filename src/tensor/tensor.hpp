@@ -88,6 +88,9 @@ class Tensor {
   void reshape(Shape new_shape);
   /// Returns a reshaped copy.
   Tensor reshaped(Shape new_shape) const;
+  /// Moves the element storage out and leaves an empty tensor, so a caller
+  /// can recycle the buffer.
+  std::vector<float> release();
 
   /// Fills i.i.d. uniform in [lo, hi).
   void fill_uniform(Rng& rng, float lo, float hi);

@@ -212,6 +212,31 @@ TEST(ExecutorDeterminismTest, BatchCompositionInvariant) {
   }
 }
 
+TEST(ExecutorDeterminismTest, RecycledBuffersLeaveLogitsUnchanged) {
+  // One executor reuses its activation buffers across forwards, so a small
+  // batch runs in buffers a larger one left dirty and vice versa. Every
+  // forward must still equal a fresh executor's bitwise.
+  Rng rng(12);
+  nn::Network net = core::build_lenet(rng);
+  CompileOptions options;
+  options.converters.dac_levels = 255;
+  options.converters.adc_levels = 1023;
+  const CrossbarProgram program = compile(net, Shape{1, 28, 28}, options);
+  const Executor reused(program);
+
+  std::uint64_t seed = 200;
+  for (const std::size_t batch : {8, 1, 8, 3, 16, 2, 8}) {
+    const Tensor input = random_batch(Shape{1, 28, 28}, batch, ++seed);
+    const Tensor got = reused.forward(input);
+    const Tensor want = Executor(program).forward(input);
+    ASSERT_TRUE(got.same_shape(want)) << "batch " << batch;
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          want.numel() * sizeof(float)),
+              0)
+        << "batch " << batch;
+  }
+}
+
 TEST(ExecutorTest, QuantizedConvertersStayCloseAtHighResolution) {
   Rng rng(11);
   nn::Network net;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 namespace gs {
 namespace {
@@ -98,6 +99,14 @@ TEST(Tensor, ReshapedReturnsCopy) {
   Tensor r = t.reshaped({4});
   r[0] = 7.0f;
   EXPECT_EQ(t[0], 1.0f);  // original untouched
+}
+
+TEST(Tensor, ReleaseMovesStorageOut) {
+  Tensor t(Shape{2, 3}, 4.0f);
+  const std::vector<float> data = t.release();
+  EXPECT_EQ(data, std::vector<float>(6, 4.0f));
+  EXPECT_EQ(t.numel(), 0u);
+  EXPECT_EQ(t.rank(), 0u);
 }
 
 TEST(Tensor, ElementwiseArithmetic) {
