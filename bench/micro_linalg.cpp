@@ -1,9 +1,7 @@
 // Micro-benchmarks of the LRA solvers at the covariance sizes rank clipping
 // actually eigen-solves (the fan-out M of each paper layer, up to the
 // 500×500 Gram of LeNet fc1). Every eigen_sym record carries residual_ok:
-// the decomposition it timed satisfies A·V = V·Λ and VᵀV = I. The
-// randomized SVD shapes micro_gemm already times (800x64, 2048x512) are not
-// repeated.
+// the decomposition it timed satisfies A·V = V·Λ and VᵀV = I.
 //
 // Emits BENCH_linalg.json (seconds per case) into the working directory and
 // prints the same table to stdout — the same bench_util scaffolding as
@@ -20,7 +18,6 @@
 #include "linalg/eigen.hpp"
 #include "linalg/lra.hpp"
 #include "linalg/pca.hpp"
-#include "linalg/rsvd.hpp"
 #include "linalg/svd.hpp"
 #include "tensor/matrix.hpp"
 
@@ -140,17 +137,6 @@ int main(int argc, char** argv) {
         reps);
     records.push_back(timed("pca_" + dims(n, m),
                             dims(n, m) + " rank " + std::to_string(m / 2), s));
-  }
-
-  {
-    const Tensor a = random_matrix(500, 50, 5);
-    const double s = time_median_seconds(
-        [&] {
-          volatile double v = randomized_svd(a, 12).singular_values[0];
-          (void)v;
-        },
-        reps);
-    records.push_back(timed("rsvd_500x50_k12", "500x50 rank 12", s));
   }
 
   {

@@ -36,6 +36,12 @@ Rules (ids are stable; CI prints them verbatim):
                       at exactly one call site, and the catalogue in
                       docs/OBSERVABILITY.md must list exactly the
                       registered families (rule id metric-catalogue).
+  layer-dispatch      dynamic_cast to a concrete weight layer (DenseLayer,
+                      LowRankDense, Conv2dLayer, LowRankConv2d) outside
+                      src/nn and core/models.cpp: consumers read the
+                      nn::MatrixLayer contract (matrices(), bias(),
+                      conv_spec()), so the layer taxonomy is decided in one
+                      module.
 """
 
 from __future__ import annotations
@@ -78,6 +84,10 @@ THREAD_ALLOWED = (
 #: the .cpp drivers are not linted (client threads there are deliberate).
 CONTRACT_DIRS = ("hw", "runtime", "obs", "bench")
 
+#: Files allowed to dispatch on concrete weight-layer types besides src/nn:
+#: to_lowrank constructs the factorised layer that matches each source layer.
+LAYER_DISPATCH_ALLOWED = ("core/models.cpp",)
+
 _ALLOW = re.compile(r"gslint:\s*allow\(([a-z-]+)\)")
 
 _RNG_BANNED = re.compile(
@@ -91,6 +101,10 @@ _UNORDERED_DECL = re.compile(
 )
 _RANGE_FOR = re.compile(r"\bfor\s*\([^;()]*?:\s*(\w+)\s*\)")
 _ITER_CALL = re.compile(r"\b(\w+)\s*\.\s*c?(?:begin|end|rbegin|rend)\s*\(")
+
+_LAYER_CAST = re.compile(
+    r"\bdynamic_cast\s*<\s*(?:const\s+)?(?:(?:gs\s*::\s*)?nn\s*::\s*)?"
+    r"(DenseLayer|LowRankDense|Conv2dLayer|LowRankConv2d)\b")
 
 _STD_THREAD = re.compile(r"\bstd\s*::\s*thread\b")
 _PARALLEL_STL = re.compile(r"\bstd\s*::\s*(execution\b|reduce\s*\()")
@@ -244,6 +258,25 @@ def check_metric_name(lexed: LexedFile, rel: str) -> list[Finding]:
     return findings
 
 
+def check_layer_dispatch(lexed: LexedFile, rel: str) -> list[Finding]:
+    # src/ files only: other trees keep their top-level prefix ("bench/").
+    if (rel.startswith(("nn/", "bench/")) or
+            rel in LAYER_DISPATCH_ALLOWED):
+        return []
+    # Matched over the whole blanked text, so a cast split across lines
+    # still fires (on the line holding `dynamic_cast`).
+    code_text = "\n".join(lexed.code_lines)
+    findings: list[Finding] = []
+    for match in _LAYER_CAST.finditer(code_text):
+        lineno = code_text.count("\n", 0, match.start()) + 1
+        findings += _finding(
+            lexed, rel, lineno, "layer-dispatch",
+            f"dynamic_cast to nn::{match.group(1)} outside src/nn — "
+            "read the nn::MatrixLayer contract (matrices(), bias(), "
+            "conv_spec()) instead of re-deriving the layer taxonomy")
+    return findings
+
+
 ALL_RULES = (
     check_banned_rng,
     check_unordered_iteration,
@@ -251,6 +284,7 @@ ALL_RULES = (
     check_parallel_stl,
     check_missing_contract,
     check_metric_name,
+    check_layer_dispatch,
 )
 
 

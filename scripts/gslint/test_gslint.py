@@ -60,7 +60,8 @@ class FixtureTest(unittest.TestCase):
         self.assertEqual(
             all_expected,
             {"banned-rng", "unordered-iteration", "raw-thread",
-             "parallel-stl", "missing-contract", "metric-name"})
+             "parallel-stl", "missing-contract", "metric-name",
+             "layer-dispatch"})
 
     def test_fixture_findings(self) -> None:
         for name in sorted(os.listdir(_FIXTURES)):

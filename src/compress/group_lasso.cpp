@@ -3,8 +3,7 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "nn/conv2d.hpp"
-#include "nn/dense.hpp"
+#include "nn/matrix_layer.hpp"
 
 namespace gs::compress {
 
@@ -15,35 +14,23 @@ GroupLassoRegularizer::GroupLassoRegularizer(nn::Network& net,
   GS_CHECK(config_.lambda >= 0.0);
   tech.validate();
 
-  const auto add_target = [&](Tensor* value, Tensor* grad,
-                              const std::string& name) {
-    GS_CHECK(value->rank() == 2 && value->same_shape(*grad));
-    const std::size_t n = value->rows();
-    const std::size_t k = value->cols();
-    if (config_.skip_single_crossbar && n <= tech.max_crossbar_dim &&
-        k <= tech.max_crossbar_dim) {
-      return;  // single crossbar: no inter-crossbar routing to save
-    }
-    LassoTarget target;
-    target.value = value;
-    target.grad = grad;
-    target.grid = hw::make_tile_grid(n, k, tech, config_.policy);
-    target.name = name;
-    targets_.push_back(std::move(target));
-  };
-
   for (std::size_t i = 0; i < net.layer_count(); ++i) {
-    nn::Layer& layer = net.layer(i);
-    if (auto* f = dynamic_cast<nn::FactorizedLayer*>(&layer)) {
-      add_target(&f->mutable_u(), &f->mutable_u_grad(),
-                 f->factor_name() + "_u");
-      add_target(&f->mutable_vt(), &f->mutable_vt_grad(),
-                 f->factor_name() + "_v");
-    } else if (auto* d = dynamic_cast<nn::DenseLayer*>(&layer)) {
-      // Grad tensor is the first params() entry (the weight).
-      add_target(&d->weight(), d->params()[0].grad, d->name());
-    } else if (auto* c = dynamic_cast<nn::Conv2dLayer*>(&layer)) {
-      add_target(&c->weight(), c->params()[0].grad, c->name());
+    auto* layer = dynamic_cast<nn::MatrixLayer*>(&net.layer(i));
+    if (layer == nullptr) continue;
+    for (const nn::ParamRef& m : layer->matrices()) {
+      GS_CHECK(m.value->rank() == 2 && m.value->same_shape(*m.grad));
+      const std::size_t n = m.value->rows();
+      const std::size_t k = m.value->cols();
+      if (config_.skip_single_crossbar && n <= tech.max_crossbar_dim &&
+          k <= tech.max_crossbar_dim) {
+        continue;  // single crossbar: no inter-crossbar routing to save
+      }
+      LassoTarget target;
+      target.value = m.value;
+      target.grad = m.grad;
+      target.grid = hw::make_tile_grid(n, k, tech, config_.policy);
+      target.name = m.name;
+      targets_.push_back(std::move(target));
     }
   }
 

@@ -5,8 +5,7 @@
 #include "common/check.hpp"
 #include "common/string_util.hpp"
 #include "hw/tiling.hpp"
-#include "nn/conv2d.hpp"
-#include "nn/dense.hpp"
+#include "nn/matrix_layer.hpp"
 
 namespace gs::core {
 
@@ -52,22 +51,16 @@ NcsReport build_ncs_report(nn::Network& net, const hw::TechnologyParams& tech,
   tech.validate();
   NcsReport report;
   for (std::size_t i = 0; i < net.layer_count(); ++i) {
-    nn::Layer& layer = net.layer(i);
-    if (auto* f = dynamic_cast<nn::FactorizedLayer*>(&layer)) {
-      report.matrices.push_back(report_matrix(
-          f->factor_name() + "_u", f->factor_u(), tech, policy, zero_tol));
-      report.matrices.push_back(report_matrix(
-          f->factor_name() + "_v", f->factor_vt(), tech, policy, zero_tol));
-      report.dense_baseline_cells += f->full_rows() * f->full_cols();
-    } else if (auto* d = dynamic_cast<nn::DenseLayer*>(&layer)) {
+    auto* layer = dynamic_cast<nn::MatrixLayer*>(&net.layer(i));
+    if (layer == nullptr) continue;
+    const std::vector<nn::ParamRef> ms = layer->matrices();
+    for (const nn::ParamRef& m : ms) {
       report.matrices.push_back(
-          report_matrix(d->name(), d->weight(), tech, policy, zero_tol));
-      report.dense_baseline_cells += d->weight().numel();
-    } else if (auto* c = dynamic_cast<nn::Conv2dLayer*>(&layer)) {
-      report.matrices.push_back(
-          report_matrix(c->name(), c->weight(), tech, policy, zero_tol));
-      report.dense_baseline_cells += c->weight().numel();
+          report_matrix(m.name, *m.value, tech, policy, zero_tol));
     }
+    // The layer's dense baseline: one fan-in × fan-out array.
+    report.dense_baseline_cells +=
+        ms.front().value->rows() * ms.back().value->cols();
   }
   for (const MatrixReport& m : report.matrices) {
     report.total_cells += m.cells;

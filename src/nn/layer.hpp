@@ -1,5 +1,13 @@
 // Layer interface of the gs::nn training stack.
 //
+// Layer is what every stage of a Network implements. The four weight layers
+// (dense, conv and their factorised forms) also implement one contract,
+// MatrixLayer (nn/matrix_layer.hpp): the layer's crossbar matrices in stage
+// order, its bias and its conv spec. Code outside src/nn reads that contract
+// and never casts to a concrete weight layer (gslint rule layer-dispatch);
+// the stateless layers (activations, pooling, flatten, dropout) carry no
+// matrix.
+//
 // Data layout conventions (fixed across the library):
 //  * convolutional activations: rank-4, B×C×H×W;
 //  * fully-connected activations: rank-2, B×features;

@@ -86,11 +86,11 @@ class Network {
 };
 
 /// Packs block-compressed inference panels (linalg/compressed.hpp) on every
-/// dense, conv, and low-rank layer of `net`; eval-mode forwards then run the
-/// compress-then-multiply path over the live rows/columns group deletion
-/// left behind. Returns the number of layers packed. The panels snapshot the
-/// CURRENT weights — re-pack (or clear) after any weight mutation; training
-/// forwards never consult them.
+/// MatrixLayer of `net`; eval-mode forwards then run the compress-then-
+/// multiply path over the live rows/columns group deletion left behind.
+/// Returns the number of layers packed. The panels snapshot the CURRENT
+/// weights — re-pack (or clear) after any weight mutation; training forwards
+/// never consult them.
 std::size_t pack_compressed_inference(Network& net, float tol = 0.0f);
 
 /// Drops every layer's compressed panel; forwards fall back to the dense

@@ -312,13 +312,8 @@ Tensor Executor::run_conv(const Step& step, const Tensor& act,
   // Re-tile (B·oh·ow, F) patch-major results into channel-major B×F×oh×ow.
   Tensor out = buffers_->take(Shape{batch, filters, oh, ow});
   pool().parallel_for(batch, [&](std::size_t b) {
-    const float* src = cur.data() + b * patches * filters;
-    float* dst = out.data() + b * filters * patches;
-    for (std::size_t p = 0; p < patches; ++p) {
-      for (std::size_t c = 0; c < filters; ++c) {
-        dst[c * patches + p] = src[p * filters + c];
-      }
-    }
+    retile(cur.data() + b * patches * filters, patches, filters,
+           out.data() + b * filters * patches);
   });
   buffers_->give(cur);
   return out;

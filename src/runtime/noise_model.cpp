@@ -6,9 +6,7 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "nn/conv2d.hpp"
-#include "nn/dense.hpp"
-#include "nn/lowrank.hpp"
+#include "nn/matrix_layer.hpp"
 
 namespace gs::runtime {
 
@@ -76,19 +74,17 @@ namespace {
 /// the program compiled it from.
 Tensor* resolve_stage_weight(nn::Network& net, const NoiseModel::Stage& stage) {
   nn::Layer& layer = net.layer(stage.layer_index);
-  if (stage.stages_in_step == 2) {
-    auto* f = dynamic_cast<nn::FactorizedLayer*>(&layer);
-    GS_CHECK_MSG(f != nullptr, "noise stage '"
-                                   << stage.name << "': layer '"
-                                   << layer.name() << "' is not factorised");
-    return stage.stage_index == 0 ? &f->mutable_u() : &f->mutable_vt();
-  }
-  if (auto* d = dynamic_cast<nn::DenseLayer*>(&layer)) return &d->weight();
-  if (auto* c = dynamic_cast<nn::Conv2dLayer*>(&layer)) return &c->weight();
-  GS_CHECK_MSG(false, "noise stage '" << stage.name << "': layer '"
-                                      << layer.name()
-                                      << "' holds no weight matrix");
-  return nullptr;
+  auto* m = dynamic_cast<nn::MatrixLayer*>(&layer);
+  GS_CHECK_MSG(m != nullptr, "noise stage '" << stage.name << "': layer '"
+                                             << layer.name()
+                                             << "' holds no weight matrix");
+  const std::vector<nn::ParamRef> ms = m->matrices();
+  GS_CHECK_MSG(ms.size() == stage.stages_in_step,
+               "noise stage '" << stage.name << "': layer '" << layer.name()
+                               << "' holds " << ms.size()
+                               << " matrices, the program lowered "
+                               << stage.stages_in_step);
+  return ms[stage.stage_index].value;
 }
 
 double max_abs_weight(const Tensor& w) {

@@ -71,22 +71,25 @@ Tensor im2col(const Tensor& image, const ConvGeometry& g) {
 
 Tensor col2im(const Tensor& columns, const ConvGeometry& g) {
   g.validate();
+  GS_CHECK_MSG(columns.rank() == 2 &&
+                   columns.rows() == g.out_height() * g.out_width() &&
+                   columns.cols() == g.patch_size(),
+               "col2im input shape " << shape_to_string(columns.shape()));
+  Tensor image(Shape{g.in_channels, g.in_height, g.in_width});
+  col2im(columns.data(), g, image.data());
+  return image;
+}
+
+void col2im(const float* columns, const ConvGeometry& g, float* image) {
   const std::size_t oh = g.out_height();
   const std::size_t ow = g.out_width();
   const std::size_t ps = g.patch_size();
-  GS_CHECK_MSG(columns.rank() == 2 && columns.rows() == oh * ow &&
-                   columns.cols() == ps,
-               "col2im input shape " << shape_to_string(columns.shape()));
-  Tensor image(Shape{g.in_channels, g.in_height, g.in_width});
-  float* dst = image.data();
-  const float* src = columns.data();
-
   for (std::size_t oy = 0; oy < oh; ++oy) {
     for (std::size_t ox = 0; ox < ow; ++ox) {
-      const float* row = src + (oy * ow + ox) * ps;
+      const float* row = columns + (oy * ow + ox) * ps;
       std::size_t idx = 0;
       for (std::size_t c = 0; c < g.in_channels; ++c) {
-        float* chan = dst + c * g.in_height * g.in_width;
+        float* chan = image + c * g.in_height * g.in_width;
         for (std::size_t ky = 0; ky < g.kernel_h; ++ky) {
           const long long iy =
               static_cast<long long>(oy * g.stride_h + ky) -
@@ -105,7 +108,15 @@ Tensor col2im(const Tensor& columns, const ConvGeometry& g) {
       }
     }
   }
-  return image;
+}
+
+void retile(const float* src, std::size_t rows, std::size_t cols, float* dst) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* row = src + r * cols;
+    for (std::size_t c = 0; c < cols; ++c) {
+      dst[c * rows + r] = row[c];
+    }
+  }
 }
 
 }  // namespace gs

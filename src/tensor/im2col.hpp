@@ -47,4 +47,16 @@ void im2col(const float* image, const ConvGeometry& g, float* out);
 /// im2col map, which property tests verify via <im2col(x), y> = <x, col2im(y)>.
 Tensor col2im(const Tensor& columns, const ConvGeometry& g);
 
+/// Unchecked form of the above: adds the (out_h*out_w × patch_size) patch
+/// matrix at `columns` into the C×H×W image at `image` (+=, so a zeroed
+/// image yields exactly col2im). `g` must be valid.
+void col2im(const float* columns, const ConvGeometry& g, float* image);
+
+/// The re-tile around a conv GEMM: writes the row-major (rows × cols) block
+/// at `src` transposed to `dst` as (cols × rows). Patch-major GEMM output
+/// (oh*ow × F) becomes a channel-major F×oh×ow map with rows = oh*ow, and a
+/// channel-major gradient becomes the patch-major dY with rows = F. A pure
+/// copy, so every caller gets bitwise the same values.
+void retile(const float* src, std::size_t rows, std::size_t cols, float* dst);
+
 }  // namespace gs

@@ -5,6 +5,9 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+
+#include <unistd.h>
 
 #include "common/check.hpp"
 
@@ -18,9 +21,17 @@ std::string read_file(const std::string& path) {
   return oss.str();
 }
 
+// ctest runs every case as its own process, possibly in parallel, so each
+// case writes its own file: test name + pid.
 class CsvTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/gs_csv_test.csv";
+  std::string path_;
+  void SetUp() override {
+    const ::testing::TestInfo* info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    path_ = ::testing::TempDir() + "/gs_csv_test_" + info->name() + "_" +
+            std::to_string(::getpid()) + ".csv";
+  }
   void TearDown() override { std::remove(path_.c_str()); }
 };
 

@@ -10,11 +10,13 @@
 #include <vector>
 
 #include <memory>
+#include <ostream>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "compress/group_lasso.hpp"
 #include "hw/area.hpp"
+#include "hw/crossbar.hpp"
 #include "nn/lowrank.hpp"
 
 namespace gs::compress {
@@ -148,6 +150,12 @@ struct Case {
   std::size_t n, k;
   hw::MappingPolicy policy;
 };
+
+// Names each instance by its value ("97x53_divisor-exact"); without it gtest
+// prints the struct's raw bytes, padding included, into the test IDs.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << c.n << 'x' << c.k << '_' << hw::to_string(c.policy);
+}
 
 class GroupIndexSweep : public ::testing::TestWithParam<Case> {};
 

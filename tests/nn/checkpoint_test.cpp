@@ -4,6 +4,9 @@
 
 #include <memory>
 #include <sstream>
+#include <string>
+
+#include <unistd.h>
 
 #include "nn/activations.hpp"
 #include "nn/dense.hpp"
@@ -89,7 +92,11 @@ TEST(Checkpoint, RejectsGarbageStream) {
 }
 
 TEST(Checkpoint, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/gs_checkpoint_test.bin";
+  // Test name + pid: ctest may run other cases in parallel.
+  const std::string path =
+      ::testing::TempDir() + "/gs_checkpoint_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+      std::to_string(::getpid()) + ".bin";
   Network source = make_net(12);
   save_checkpoint(path, source);
   Network target = make_net(13);

@@ -6,15 +6,26 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+
+#include <unistd.h>
 
 #include "common/rng.hpp"
 
 namespace gs {
 namespace {
 
+// ctest runs every case as its own process, possibly in parallel, so each
+// case writes its own file: test name + pid.
 class SerializeTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/gs_tensor_test.bin";
+  std::string path_;
+  void SetUp() override {
+    const ::testing::TestInfo* info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    path_ = ::testing::TempDir() + "/gs_tensor_test_" + info->name() + "_" +
+            std::to_string(::getpid()) + ".bin";
+  }
   void TearDown() override { std::remove(path_.c_str()); }
 };
 
