@@ -615,7 +615,7 @@ int main(int argc, char** argv) {
     rec.label("mode",
               std::to_string(budget.clients) + " clients, " +
                   std::to_string(shard.replicas) + " replicas x " +
-                  std::to_string(server.threads_for_replica(0)) +
+                  std::to_string(server.thread_split().at(0)) +
                   " threads, max_batch 32, 2ms deadline, tile skip on")
         .label("baseline", "single replica, " + std::to_string(thread_budget) +
                                " threads, skip off");
@@ -1008,7 +1008,6 @@ int main(int argc, char** argv) {
       shard.replicas = 2;
       shard.seed_stride = 0;    // identical clean chips
       shard.steal_work = false;  // placement alone decides routing
-      shard.auto_recalibrate = false;  // the script drives the loop
       shard.max_retries = 1;
       shard.batching.max_batch = 16;
       shard.batching.max_queue_depth = 16;
@@ -1232,7 +1231,6 @@ int main(int argc, char** argv) {
       shard.replicas = 1;
       shard.seed_stride = 0;     // identical chips — logits replica-invariant
       shard.steal_work = false;  // placement alone decides routing
-      shard.auto_recalibrate = false;
       shard.total_threads = thread_budget;
       shard.batching.max_batch = 8;
       shard.batching.max_queue_depth = 24;

@@ -40,7 +40,6 @@ void ewma_record(std::atomic<double>& accumulator, double sample,
 }
 
 void AdmissionConfig::validate() const {
-  GS_CHECK(default_deadline.count() >= 0);
   GS_CHECK(assumed_batch_cost.count() >= 0);
 }
 

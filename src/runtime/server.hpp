@@ -20,8 +20,10 @@
 //  * at batch formation, requests whose deadline has already passed are
 //    shed instead of executed — a late result is worthless, the batch slot
 //    is not.
-// Every rejected or shed future carries a std::runtime_error whose message
-// names the reason; no future is ever left dangling (see ServerStats).
+// A sample holding NaN or ±Inf is rejected at submit: it would otherwise
+// reach the logits uncounted. Every rejected or shed future carries a
+// std::runtime_error whose message names the reason; no future is ever left
+// dangling (see ServerStats).
 //
 // Thread-safety: the free helpers are pure or lock-free (ewma_record);
 // LatencyWindow is not thread-safe and is guarded by its owner.
@@ -59,9 +61,6 @@ struct AdmissionConfig {
   /// Off by default: requests without deadlines are never admission-tested,
   /// and the server behaves exactly as before this knob existed.
   bool enabled = false;
-  /// Deadline applied to submit(sample) calls that do not pass one
-  /// explicitly; 0 = no deadline (never expires, never admission-tested).
-  std::chrono::microseconds default_deadline{0};
   /// Fixed per-batch execution cost for the wait prediction; 0 = use the
   /// EWMA of measured batch times instead.
   std::chrono::microseconds assumed_batch_cost{0};
@@ -88,8 +87,8 @@ struct BatchingConfig {
 /// deadline-then-priority ordered (see request_outranks); the defaults make a
 /// request behave exactly like a plain submit(sample) call.
 struct RequestOptions {
-  /// Time allowed from submit to completion; 0 = none (the engine falls back
-  /// to AdmissionConfig::default_deadline).
+  /// Time allowed from submit to completion; 0 = none (never expires, never
+  /// admission-tested).
   std::chrono::microseconds deadline{0};
   /// Tenant owning the request; the per-tenant inflight cap
   /// (ShardConfig::max_inflight_per_tenant) is enforced against it.
@@ -193,7 +192,9 @@ class LatencyWindow {
 /// shed / failed — futures never dangle.
 struct ServerStats {
   std::size_t completed = 0;
-  std::size_t rejected = 0;  ///< refused at submit (full / shut down / miss)
+  /// Refused at submit: full queue, shut down, tenant cap, predicted miss or
+  /// non-finite sample.
+  std::size_t rejected = 0;
   /// Subset of `rejected` refused by admission control (predicted deadline
   /// miss) rather than by queue depth or shutdown.
   std::size_t admission_rejected = 0;

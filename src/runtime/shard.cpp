@@ -28,6 +28,11 @@ std::uint64_t fnv1a_fold(std::uint64_t hash, std::uint64_t value) {
   }
   return hash;
 }
+
+/// The error a refused (rejected or shed) request's future carries.
+std::exception_ptr refusal(const std::string& message) {
+  return std::make_exception_ptr(std::runtime_error(message));
+}
 }  // namespace
 
 void AutoscaleConfig::validate() const {
@@ -37,7 +42,6 @@ void AutoscaleConfig::validate() const {
   GS_CHECK(scale_down_depth >= 0.0);
   GS_CHECK_MSG(up_ticks >= 1 && down_ticks >= 1,
                "AutoscaleConfig: streak lengths are at least one tick");
-  GS_CHECK(slo_target >= 0.0 && slo_target <= 1.0);
 }
 
 void ShardConfig::validate() const {
@@ -216,23 +220,70 @@ std::size_t ShardedServer::placement_target(std::size_t exclude) const {
   return target;
 }
 
-void ShardedServer::release_tenant(std::uint64_t tenant) {
-  if (config_.max_inflight_per_tenant == 0) return;
-  auto it = tenant_inflight_.find(tenant);
-  if (it == tenant_inflight_.end()) return;
-  if (--it->second == 0) tenant_inflight_.erase(it);
-}
-
-void ShardedServer::finish_dropped(Request& request,
-                                   const char* result) const {
-  if (!request.trace) return;
-  if (request.queue_span != 0) {
-    request.trace->end_span(request.queue_span);
-    request.queue_span = 0;
+void ShardedServer::finish_requests(std::span<Request> requests,
+                                    Outcome outcome,
+                                    const std::exception_ptr& error,
+                                    const Tensor* logits) {
+  const std::size_t n = requests.size();
+  if (n == 0) return;
+  if (outcome > Outcome::kAdmissionRejected) {  // admitted
+    // The tenant count is only kept while the cap is enforced.
+    if (config_.max_inflight_per_tenant > 0) {
+      MutexLock lock(mutex_);
+      for (const Request& request : requests) {
+        const auto it = tenant_inflight_.find(request.tenant);
+        if (it != tenant_inflight_.end() && --it->second == 0) {
+          tenant_inflight_.erase(it);
+        }
+      }
+    }
+    metrics_->inflight.add(-static_cast<double>(n));
   }
-  request.trace->annotate(obs::Trace::kRoot, "result", result);
-  if (tracer_ != nullptr) tracer_->finish(request.trace);
-  request.trace.reset();
+  // Both indexed by Outcome.
+  static constexpr const char* kNotes[] = {
+      "rejected", "rejected", "admission_rejected", "ok",
+      "displaced", "shed", "failed"};
+  obs::Counter* const counters[] = {
+      &metrics_->rejected, &metrics_->rejected, &metrics_->rejected,
+      &metrics_->completed, &metrics_->shed, &metrics_->shed,
+      &metrics_->failed};
+  const auto index = static_cast<std::size_t>(outcome);
+  counters[index]->inc(n);
+  if (outcome == Outcome::kTenantRejected) metrics_->tenant_rejected.inc(n);
+  if (outcome == Outcome::kAdmissionRejected) {
+    metrics_->admission_rejected.inc(n);
+  }
+  const std::size_t classes = logits != nullptr ? logits->numel() / n : 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    Request& request = requests[i];
+    const std::shared_ptr<obs::Trace> trace = std::move(request.trace);
+    std::uint64_t reply_span = 0;
+    if (trace) {
+      if (request.execute_span != 0) trace->end_span(request.execute_span);
+      trace->end_span(request.span);
+      if (logits != nullptr) {
+        reply_span = trace->begin_span("reply", obs::Trace::kRoot);
+      }
+    }
+    Tensor row;
+    if (logits != nullptr) {
+      row = Tensor(Shape{classes});
+      std::copy(logits->data() + i * classes,
+                logits->data() + (i + 1) * classes, row.data());
+    }
+    // The trace is finished before the promise settles, so a client holding
+    // its result also sees its finished trace.
+    if (trace) {
+      if (reply_span != 0) trace->end_span(reply_span);
+      trace->annotate(obs::Trace::kRoot, "result", kNotes[index]);
+      if (tracer_ != nullptr) tracer_->finish(trace);
+    }
+    if (logits != nullptr) {
+      request.promise.set_value(std::move(row));
+    } else {
+      request.promise.set_exception(error);
+    }
+  }
 }
 
 void ShardedServer::update_queue_gauges() const {
@@ -277,60 +328,53 @@ ShardedServer::Counts ShardedServer::counts() const {
   return c;
 }
 
-std::future<Tensor> ShardedServer::submit(Tensor sample) {
-  return submit(std::move(sample),
-                config_.batching.admission.default_deadline);
-}
-
 std::future<Tensor> ShardedServer::submit(Tensor sample,
                                           std::chrono::microseconds deadline) {
-  RequestOptions options;
-  options.deadline = deadline;
-  return submit(std::move(sample), options);
+  return submit(std::move(sample), RequestOptions{.deadline = deadline});
 }
 
 std::future<Tensor> ShardedServer::submit(Tensor sample,
                                           const RequestOptions& options) {
-  const std::chrono::microseconds deadline =
-      options.deadline.count() > 0 ? options.deadline
-                                   : config_.batching.admission.default_deadline;
   // Every replica program's input_shape() is the sample_shape_ the server
   // compiled with, so validation needs no program lock.
   GS_CHECK_MSG(sample.shape() == sample_shape_,
                "sharded server sample " << shape_to_string(sample.shape())
                                         << " does not match program input "
                                         << shape_to_string(sample_shape_));
+  const bool finite =
+      std::all_of(sample.data(), sample.data() + sample.numel(),
+                  [](float v) { return std::isfinite(v); });
   Request request;
   request.sample = std::move(sample);
   request.enqueued = std::chrono::steady_clock::now();
-  request.deadline =
-      deadline.count() > 0 ? request.enqueued + deadline : kNoDeadline;
+  request.deadline = options.deadline.count() > 0
+                         ? request.enqueued + options.deadline
+                         : kNoDeadline;
   request.tenant = options.tenant;
   request.priority = options.priority;
   request.id = next_request_id_.fetch_add(1, std::memory_order_relaxed);
   if (tracer_ != nullptr) request.trace = tracer_->start(request.id);
-  std::uint64_t submit_span = 0;
   if (request.trace) {
-    submit_span = request.trace->begin_span("submit", obs::Trace::kRoot);
+    request.span = request.trace->begin_span("submit", obs::Trace::kRoot);
   }
   std::future<Tensor> future = request.promise.get_future();
 
   std::string reject_reason;
-  bool admission_miss = false;
-  bool tenant_miss = false;
-  Request displaced;
-  bool have_displaced = false;
-  bool accepted = false;
+  Outcome rejection = Outcome::kRejected;
+  std::optional<Request> displaced;
   {
     MutexLock lock(mutex_);
-    bool tenant_capped = false;
-    if (config_.max_inflight_per_tenant > 0) {
-      const auto it = tenant_inflight_.find(request.tenant);
-      tenant_capped = it != tenant_inflight_.end() &&
-                      it->second >= config_.max_inflight_per_tenant;
-    }
+    // Counts are only kept while the cap is enforced (non-zero).
+    const auto held = tenant_inflight_.find(request.tenant);
+    const bool tenant_capped = held != tenant_inflight_.end() &&
+                               held->second >= config_.max_inflight_per_tenant;
     if (stopping_) {
       reject_reason = "ShardedServer: rejected — server is shut down";
+    } else if (!finite) {
+      // A NaN or Inf sample would reach the logits with nothing counted.
+      reject_reason =
+          "ShardedServer: rejected — sample holds a non-finite value (NaN or "
+          "Inf)";
     } else if (tenant_capped) {
       // Per-tenant fairness: a tenant already holding its inflight cap is
       // rejected while other tenants keep being placed.
@@ -339,7 +383,7 @@ std::future<Tensor> ShardedServer::submit(Tensor sample,
           << " at its inflight cap (max_inflight_per_tenant="
           << config_.max_inflight_per_tenant << ")";
       reject_reason = msg.str();
-      tenant_miss = true;
+      rejection = Outcome::kTenantRejected;
     } else {
       // Shortest-queue placement over ACTIVE replicas (quarantined chips
       // take no new work).
@@ -364,7 +408,7 @@ std::future<Tensor> ShardedServer::submit(Tensor sample,
             reject_reason =
                 "ShardedServer: rejected — admission control predicts a "
                 "deadline miss";
-            admission_miss = true;
+            rejection = Outcome::kAdmissionRejected;
           }
         }
         if (reject_reason.empty() &&
@@ -379,8 +423,6 @@ std::future<Tensor> ShardedServer::submit(Tensor sample,
                                queue.back().priority)) {
             displaced = std::move(queue.back());
             queue.pop_back();
-            have_displaced = true;
-            release_tenant(displaced.tenant);
           } else {
             std::ostringstream msg;
             msg << "ShardedServer: rejected — queue full (max_queue_depth="
@@ -390,42 +432,34 @@ std::future<Tensor> ShardedServer::submit(Tensor sample,
         }
         if (reject_reason.empty()) {
           if (request.trace) {
-            request.trace->end_span(submit_span);
-            request.queue_span =
+            request.trace->end_span(request.span);
+            request.span =
                 request.trace->begin_span("queue", obs::Trace::kRoot);
-            request.trace->annotate(request.queue_span, "replica",
+            request.trace->annotate(request.span, "replica",
                                     std::to_string(target));
           }
           if (config_.max_inflight_per_tenant > 0) {
             ++tenant_inflight_[request.tenant];
           }
           insert_ranked(queue, std::move(request));
-          accepted = true;
           update_queue_gauges();
+          // Counted under the lock, so no dispatcher can finish the request
+          // (and decrement) first.
+          metrics_->inflight.add(1.0);
         }
       }
     }
   }
-  if (have_displaced) {
-    metrics_->shed.inc();
-    metrics_->inflight.add(-1.0);
-    finish_dropped(displaced, "displaced");
-    displaced.promise.set_exception(std::make_exception_ptr(std::runtime_error(
-        "ShardedServer: shed — displaced by an earlier-deadline request "
-        "under overload")));
+  if (displaced) {
+    finish_requests(std::span(&*displaced, 1), Outcome::kDisplaced,
+                    refusal("ShardedServer: shed — displaced by an "
+                            "earlier-deadline request under overload"));
   }
   if (!reject_reason.empty()) {
-    metrics_->rejected.inc();
-    if (admission_miss) metrics_->admission_rejected.inc();
-    if (tenant_miss) metrics_->tenant_rejected.inc();
-    if (request.trace) request.trace->end_span(submit_span);
-    finish_dropped(request,
-                   admission_miss ? "admission_rejected" : "rejected");
-    request.promise.set_exception(
-        std::make_exception_ptr(std::runtime_error(reject_reason)));
+    finish_requests(std::span(&request, 1), rejection,
+                    refusal(reject_reason));
     return future;
   }
-  if (accepted) metrics_->inflight.add(1.0);
   // All dispatchers share one cv: the owner must wake to coalesce, and idle
   // replicas must wake to re-evaluate their steal horizon.
   queue_cv_.notify_all();
@@ -488,9 +522,9 @@ std::size_t ShardedServer::reroute_queue(std::size_t r,
         queues_[target].size() >= config_.batching.max_queue_depth) {
       shed.push_back(std::move(request));
     } else {
-      if (request.trace && request.queue_span != 0) {
+      if (request.trace) {
         request.trace->annotate(
-            request.queue_span, "reroute",
+            request.span, "reroute",
             std::to_string(r) + "->" + std::to_string(target));
       }
       insert_ranked(queues_[target], std::move(request));
@@ -500,7 +534,7 @@ std::size_t ShardedServer::reroute_queue(std::size_t r,
   return rerouted;
 }
 
-CanaryProbe ShardedServer::probe_now(std::size_t r) {
+CanaryProbe ShardedServer::probe_replica(std::size_t r) {
   Replica& replica = replica_ref(r);
   CanaryProbe probe;
   {
@@ -508,6 +542,37 @@ CanaryProbe ShardedServer::probe_now(std::size_t r) {
     probe = replica.canary->probe(*replica.executor);
   }
   replica_metrics_[r].probes.inc();
+  return probe;
+}
+
+void ShardedServer::reprogram_replica(std::size_t r) {
+  Replica& replica = replica_ref(r);
+  // A fresh chip from the pristine weights, compiled with the replica's
+  // original options (same analog seed) — bitwise the program it started
+  // with. Move-assignment mutates the program at the same address, so the
+  // borrowed Executor stays valid; the exclusive lock keeps forwards out
+  // while conductances change.
+  SharedWriterLock plock(replica.program_mutex);
+  replica.program = compile(network_, sample_shape_, replica.options);
+}
+
+void ShardedServer::mark_healthy(std::size_t r, bool activate) {
+  ReplicaHealth prev = ReplicaHealth::kHealthy;
+  {
+    MutexLock lock(mutex_);
+    prev = health_[r];
+    trackers_[r]->reset();
+    health_[r] = ReplicaHealth::kHealthy;
+    if (activate) active_[r] = 1;
+  }
+  if (prev != ReplicaHealth::kHealthy) {
+    record_health(r, ReplicaHealth::kHealthy);
+  }
+  queue_cv_.notify_all();
+}
+
+CanaryProbe ShardedServer::probe_now(std::size_t r) {
+  const CanaryProbe probe = probe_replica(r);
   std::vector<Request> shed;
   std::size_t rerouted = 0;
   ReplicaHealth prev = ReplicaHealth::kHealthy;
@@ -517,14 +582,7 @@ CanaryProbe ShardedServer::probe_now(std::size_t r) {
     prev = health_[r];
     const ReplicaHealth next = trackers_[r]->observe(probe.divergence);
     if (next == ReplicaHealth::kQuarantined) {
-      std::size_t active_others = 0;
-      for (std::size_t i = 0; i < capacity_; ++i) {
-        if (i != r && active_[i] &&
-            health_[i] != ReplicaHealth::kQuarantined) {
-          ++active_others;
-        }
-      }
-      if (active_others == 0) {
+      if (placement_target(r) == kNone) {
         // Never quarantine the last active replica: a degraded answer beats
         // no answer. Clamp to Degraded; the tracker keeps voting Quarantined
         // and the clamp is re-evaluated at every probe, so the replica is
@@ -553,45 +611,21 @@ CanaryProbe ShardedServer::probe_now(std::size_t r) {
         << "replica health transition";
   }
   if (rerouted > 0) metrics_->retries.inc(rerouted);
-  shed_requests(shed,
-                "ShardedServer: shed — could not re-route off quarantined "
-                "replica");
+  finish_requests(shed, Outcome::kShed,
+                  refusal("ShardedServer: shed — could not re-route off "
+                          "quarantined replica"));
   queue_cv_.notify_all();
   return probe;
 }
 
 bool ShardedServer::recalibrate_now(std::size_t r) {
-  Replica& replica = replica_ref(r);
-  {
-    // Reprogramming: a fresh chip from the pristine weights, compiled with
-    // the replica's original options (same analog seed) — bitwise the
-    // program it started with. Move-assignment mutates the program at the
-    // same address, so the borrowed Executor stays valid; the exclusive
-    // lock keeps forwards out while conductances change.
-    SharedWriterLock plock(replica.program_mutex);
-    replica.program = compile(network_, sample_shape_, replica.options);
-  }
-  CanaryProbe probe;
-  {
-    SharedReaderLock plock(replica.program_mutex);
-    probe = replica.canary->probe(*replica.executor);
-  }
+  reprogram_replica(r);
   // Rejoin only on a bitwise-clean canary — the readmission gate.
-  if (!probe.bitwise_clean) return false;
-  ReplicaHealth prev = ReplicaHealth::kHealthy;
-  {
-    MutexLock lock(mutex_);
-    prev = health_[r];
-    trackers_[r]->reset();
-    health_[r] = ReplicaHealth::kHealthy;
-  }
+  if (!probe_replica(r).bitwise_clean) return false;
   replica_metrics_[r].recalibrations.inc();
-  if (prev != ReplicaHealth::kHealthy) {
-    record_health(r, ReplicaHealth::kHealthy);
-  }
+  mark_healthy(r, /*activate=*/false);
   GS_LOG_DEBUG.field("replica", r).field("state", "healthy")
       << "replica recalibrated and rejoined";
-  queue_cv_.notify_all();
   return true;
 }
 
@@ -619,23 +653,6 @@ double ShardedServer::evaluate_replica(std::size_t r,
   SharedReaderLock plock(replica.program_mutex);
   return runtime::evaluate(*replica.executor, dataset, max_samples,
                            batch_size);
-}
-
-void ShardedServer::shed_requests(std::vector<Request>& requests,
-                                  const char* reason) {
-  if (requests.empty()) return;
-  if (config_.max_inflight_per_tenant > 0) {
-    MutexLock lock(mutex_);
-    for (const Request& request : requests) release_tenant(request.tenant);
-  }
-  metrics_->shed.inc(requests.size());
-  metrics_->inflight.add(-static_cast<double>(requests.size()));
-  for (Request& request : requests) {
-    finish_dropped(request, "shed");
-    request.promise.set_exception(
-        std::make_exception_ptr(std::runtime_error(reason)));
-  }
-  requests.clear();
 }
 
 std::vector<ShardedServer::Request> ShardedServer::take_batch(
@@ -757,38 +774,36 @@ void ShardedServer::dispatch_loop(std::size_t self) {
           continue;
         }
         // Idle: steal ripe work (a full batch, or past-deadline requests
-        // whose owner is busy executing).
+        // whose owner is busy executing); otherwise sleep until new work
+        // arrives or the earliest foreign deadline ripens.
+        std::optional<std::chrono::steady_clock::time_point> horizon;
         if (config_.steal_work) {
-          const auto now = std::chrono::steady_clock::now();
-          const std::size_t v = ripe_victim(self, now);
+          const std::size_t v =
+              ripe_victim(self, std::chrono::steady_clock::now());
           if (v != kNone) {
             victim = v;
             batch = take_batch(v, expired);
             break;
           }
-          // Sleep until new work arrives or the earliest foreign deadline
-          // ripens.
-          std::optional<std::chrono::steady_clock::time_point> horizon;
           for (std::size_t r = 0; r < capacity_; ++r) {
             if (r == self || queues_[r].empty()) continue;
             const auto t = oldest_enqueued(queues_[r]) +
                            config_.batching.max_delay;
             if (!horizon || t < *horizon) horizon = t;
           }
-          if (horizon) {
-            queue_cv_.wait_until(mutex_, *horizon);
-          } else {
-            queue_cv_.wait(mutex_);
-          }
+        }
+        if (horizon) {
+          queue_cv_.wait_until(mutex_, *horizon);
         } else {
-          while (!stopping_ && !paused_ && queues_[self].empty()) {
-            queue_cv_.wait(mutex_);
-          }
+          queue_cv_.wait(mutex_);
         }
       }
     }
-    shed_requests(expired,
-                  "ShardedServer: shed — deadline expired before execution");
+    if (!expired.empty()) {
+      finish_requests(expired, Outcome::kShed,
+                      refusal("ShardedServer: shed — deadline expired before "
+                              "execution"));
+    }
     if (exit_after_shed) return;
     if (!batch.empty()) run_batch(self, victim, batch);
   }
@@ -815,10 +830,7 @@ void ShardedServer::maintenance_loop() {
         }
         if (!serving) continue;
         probe_now(r);
-        if (config_.auto_recalibrate &&
-            health(r) == ReplicaHealth::kQuarantined) {
-          recalibrate_now(r);
-        }
+        if (health(r) == ReplicaHealth::kQuarantined) recalibrate_now(r);
       }
       if (config_.autoscale.enabled) autoscale_tick_now();
     }
@@ -851,137 +863,79 @@ void ShardedServer::run_batch(std::size_t self, std::size_t victim,
   // Execution-detail spans (per step/stage) go to the FIRST sampled trace
   // only — the batch runs once, so the detail belongs to one tree. A stolen
   // batch is annotated with the executing replica on every sampled request.
-  std::vector<std::uint64_t> batch_spans(count, 0);
-  std::vector<std::uint64_t> execute_spans(count, 0);
   ForwardTrace forward_trace;
   std::uint64_t trace_log_id = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    Request& request = requests[i];
+  for (Request& request : requests) {
     if (!request.trace) continue;
-    if (request.queue_span != 0) {
-      request.trace->end_span(request.queue_span);
-      request.queue_span = 0;
-    }
-    batch_spans[i] = request.trace->begin_span("batch", obs::Trace::kRoot);
-    request.trace->annotate(batch_spans[i], "batch_size",
-                            std::to_string(count));
-    request.trace->annotate(batch_spans[i], "replica", std::to_string(self));
+    request.trace->end_span(request.span);
+    request.span = request.trace->begin_span("batch", obs::Trace::kRoot);
+    request.trace->annotate(request.span, "batch_size", std::to_string(count));
+    request.trace->annotate(request.span, "replica", std::to_string(self));
     if (victim != self) {
-      request.trace->annotate(batch_spans[i], "stolen_from",
+      request.trace->annotate(request.span, "stolen_from",
                               std::to_string(victim));
     }
-    execute_spans[i] =
-        request.trace->begin_span("execute", batch_spans[i]);
+    request.execute_span = request.trace->begin_span("execute", request.span);
     if (forward_trace.trace == nullptr) {
       forward_trace.trace = request.trace.get();
-      forward_trace.parent = execute_spans[i];
+      forward_trace.parent = request.execute_span;
       trace_log_id = request.id;
     }
   }
   // Correlate any log lines the forward emits with the sampled request.
   LogTraceScope log_scope(trace_log_id);
 
+  const auto started = std::chrono::steady_clock::now();
+  Tensor logits;
+  obs::ExecProfile profile;
   try {
-    const auto started = std::chrono::steady_clock::now();
-    Tensor logits;
-    obs::ExecProfile profile;
-    {
-      // Shared with other forwards/probes; excluded only by fault injection
-      // and recalibration mutating this replica's program.
-      SharedReaderLock plock(replica.program_mutex);
-      // Re-priced per batch: fault injection and recalibration change the
-      // program's skip flags mid-flight.
-      profile = replica.executor->profile();
-      logits = replica.executor->forward(batch, forward_trace);
-    }
-    const std::size_t classes = logits.numel() / count;
-    const auto finished = std::chrono::steady_clock::now();
-    const double batch_us =
-        std::chrono::duration<double, std::micro>(finished - started).count();
-    // EWMA of batch cost feeds the admission predictor (α = 1/8). CAS loop:
-    // concurrent dispatcher completions must not lose each other's samples.
-    ewma_record(ewma_batch_cost_us_, batch_us);
-    // Per-request deadline outcomes over EXECUTED requests — the
-    // SLO-attainment inputs (no-deadline requests count in neither).
-    std::size_t hits = 0;
-    std::size_t misses = 0;
-    for (const Request& request : requests) {
-      if (request.deadline == kNoDeadline) continue;
-      (finished <= request.deadline ? hits : misses) += 1;
-    }
-    {
-      MutexLock lock(stats_mutex_);
-      ReplicaCounters& counters = counters_[self];
-      counters.completed += count;
-      ++counters.batches;
-      if (victim != self) ++counters.stolen_batches;
-      counters.max_batch_seen = std::max(counters.max_batch_seen, count);
-      for (const Request& request : requests) {
-        counters.latencies.record(std::chrono::duration<double, std::milli>(
-                                      finished - request.enqueued)
-                                      .count());
-      }
-    }
-    metrics_->completed.inc(count);
-    metrics_->batches.inc();
-    if (victim != self) metrics_->batches_stolen.inc();
-    metrics_->batch_size.observe(static_cast<double>(count));
-    metrics_->inflight.add(-static_cast<double>(count));
-    metrics_->record_forward(profile, count);
-    if (hits > 0) metrics_->deadline_hits.inc(hits);
-    if (misses > 0) metrics_->deadline_misses.inc(misses);
-    for (const Request& request : requests) {
-      metrics_->latency_ms.observe(std::chrono::duration<double, std::milli>(
-                                       finished - request.enqueued)
-                                       .count());
-    }
-    // Tenant slots free BEFORE the promises are fulfilled: a client that
-    // holds its result must be able to resubmit immediately without
-    // bouncing off its own not-yet-released inflight count (the cap covers
-    // queued AND executing work, and execution is over).
-    if (config_.max_inflight_per_tenant > 0) {
-      MutexLock lock(mutex_);
-      for (const Request& request : requests) release_tenant(request.tenant);
-    }
-    for (std::size_t i = 0; i < count; ++i) {
-      Request& request = requests[i];
-      std::uint64_t reply_span = 0;
-      if (request.trace) {
-        request.trace->end_span(execute_spans[i]);
-        request.trace->end_span(batch_spans[i]);
-        reply_span = request.trace->begin_span("reply", obs::Trace::kRoot);
-      }
-      Tensor row(Shape{classes});
-      std::copy(logits.data() + i * classes, logits.data() + (i + 1) * classes,
-                row.data());
-      request.promise.set_value(std::move(row));
-      if (request.trace) {
-        request.trace->end_span(reply_span);
-        request.trace->annotate(obs::Trace::kRoot, "result", "ok");
-        if (tracer_ != nullptr) tracer_->finish(request.trace);
-        request.trace.reset();
-      }
-    }
+    // Shared with other forwards/probes; excluded only by fault injection
+    // and recalibration mutating this replica's program.
+    SharedReaderLock plock(replica.program_mutex);
+    // Re-priced per batch: fault injection and recalibration change the
+    // program's skip flags mid-flight.
+    profile = replica.executor->profile();
+    logits = replica.executor->forward(batch, forward_trace);
   } catch (...) {
-    const std::exception_ptr error = std::current_exception();
-    metrics_->failed.inc(count);
-    metrics_->inflight.add(-static_cast<double>(count));
-    if (config_.max_inflight_per_tenant > 0) {
-      MutexLock lock(mutex_);
-      for (const Request& request : requests) release_tenant(request.tenant);
-    }
-    for (std::size_t i = 0; i < count; ++i) {
-      Request& request = requests[i];
-      if (request.trace) {
-        request.trace->end_span(execute_spans[i]);
-        request.trace->end_span(batch_spans[i]);
-        request.trace->annotate(obs::Trace::kRoot, "result", "failed");
-        if (tracer_ != nullptr) tracer_->finish(request.trace);
-        request.trace.reset();
+    finish_requests(requests, Outcome::kFailed, std::current_exception());
+    return;
+  }
+  const auto finished = std::chrono::steady_clock::now();
+  const double batch_us =
+      std::chrono::duration<double, std::micro>(finished - started).count();
+  // EWMA of batch cost feeds the admission predictor (α = 1/8). CAS loop:
+  // concurrent dispatcher completions must not lose each other's samples.
+  ewma_record(ewma_batch_cost_us_, batch_us);
+  // Per-request deadline outcomes over EXECUTED requests — the
+  // SLO-attainment inputs (no-deadline requests count in neither).
+  std::size_t hits = 0;
+  std::size_t misses = 0;
+  {
+    MutexLock lock(stats_mutex_);
+    ReplicaCounters& counters = counters_[self];
+    counters.completed += count;
+    ++counters.batches;
+    if (victim != self) ++counters.stolen_batches;
+    counters.max_batch_seen = std::max(counters.max_batch_seen, count);
+    for (const Request& request : requests) {
+      const double latency_ms =
+          std::chrono::duration<double, std::milli>(finished -
+                                                    request.enqueued)
+              .count();
+      counters.latencies.record(latency_ms);
+      metrics_->latency_ms.observe(latency_ms);
+      if (request.deadline != kNoDeadline) {
+        (finished <= request.deadline ? hits : misses) += 1;
       }
-      request.promise.set_exception(error);
     }
   }
+  metrics_->batches.inc();
+  if (victim != self) metrics_->batches_stolen.inc();
+  metrics_->batch_size.observe(static_cast<double>(count));
+  metrics_->record_forward(profile, count);
+  if (hits > 0) metrics_->deadline_hits.inc(hits);
+  if (misses > 0) metrics_->deadline_misses.inc(misses);
+  finish_requests(requests, Outcome::kCompleted, nullptr, &logits);
 }
 
 ShardStats ShardedServer::stats() const {
@@ -1011,28 +965,16 @@ ShardStats ShardedServer::stats() const {
       const ReplicaCounters& counters = counters_[r];
       ReplicaStats rs;
       rs.completed = counters.completed;
-      rs.batches = counters.batches;
-      rs.stolen_batches = counters.stolen_batches;
-      rs.max_batch_seen = counters.max_batch_seen;
-      rs.mean_batch = counters.batches == 0
-                          ? 0.0
-                          : static_cast<double>(counters.completed) /
-                                static_cast<double>(counters.batches);
-      std::vector<double> latencies = counters.latencies.samples();
-      std::sort(latencies.begin(), latencies.end());
-      rs.latency_p50_ms = latency_percentile(latencies, 0.50);
-      rs.latency_p95_ms = latency_percentile(latencies, 0.95);
-      rs.latency_p99_ms = latency_percentile(latencies, 0.99);
       rs.health = health[r];
       rs.active = active[r] != 0;
       rs.fault_injections = counted.fault_injections[r];
       rs.recalibrations = counted.recalibrations[r];
 
       stats.aggregate.completed += rs.completed;
-      stats.aggregate.batches += rs.batches;
+      stats.aggregate.batches += counters.batches;
       stats.aggregate.max_batch_seen =
-          std::max(stats.aggregate.max_batch_seen, rs.max_batch_seen);
-      stats.stolen_batches += rs.stolen_batches;
+          std::max(stats.aggregate.max_batch_seen, counters.max_batch_seen);
+      stats.stolen_batches += counters.stolen_batches;
       stats.recalibrations += rs.recalibrations;
       stats.aggregate.latency_samples_total += counters.latencies.total();
       all_latencies.insert(all_latencies.end(),
@@ -1073,41 +1015,14 @@ ShardStats ShardedServer::stats() const {
 
 bool ShardedServer::activate_replica(std::size_t r) {
   build_replica(r);
-  Replica& replica = replica_ref(r);
   // Scale-up admission runs the same bitwise-clean canary gate quarantined
   // replicas rejoin through: a slot that decayed while retired (e.g. faults
   // injected into it) must not serve divergent logits.
-  CanaryProbe probe;
-  {
-    SharedReaderLock plock(replica.program_mutex);
-    probe = replica.canary->probe(*replica.executor);
+  if (!probe_replica(r).bitwise_clean) {
+    reprogram_replica(r);
+    if (!probe_replica(r).bitwise_clean) return false;
   }
-  replica_metrics_[r].probes.inc();
-  if (!probe.bitwise_clean) {
-    // Reprogram from the pristine clone with the replica's original options
-    // (same seed → bitwise the clean program), then re-probe.
-    {
-      SharedWriterLock plock(replica.program_mutex);
-      replica.program = compile(network_, sample_shape_, replica.options);
-    }
-    {
-      SharedReaderLock plock(replica.program_mutex);
-      probe = replica.canary->probe(*replica.executor);
-    }
-    replica_metrics_[r].probes.inc();
-    if (!probe.bitwise_clean) return false;
-  }
-  ReplicaHealth prev = ReplicaHealth::kHealthy;
-  {
-    MutexLock lock(mutex_);
-    prev = health_[r];
-    trackers_[r]->reset();
-    health_[r] = ReplicaHealth::kHealthy;
-    active_[r] = 1;
-  }
-  if (prev != ReplicaHealth::kHealthy) {
-    record_health(r, ReplicaHealth::kHealthy);
-  }
+  mark_healthy(r, /*activate=*/true);
   GS_LOG_DEBUG.field("replica", r) << "autoscale: replica activated";
   return true;
 }
@@ -1124,9 +1039,9 @@ void ShardedServer::retire_replica(std::size_t r) {
     update_queue_gauges();
   }
   if (drained > 0) fleet_metrics_->drained.inc(drained);
-  shed_requests(shed,
-                "ShardedServer: shed — could not re-route off a replica "
-                "retired by scale-down");
+  finish_requests(shed, Outcome::kShed,
+                  refusal("ShardedServer: shed — could not re-route off a "
+                          "replica retired by scale-down"));
   GS_LOG_DEBUG.field("replica", r).field("drained", drained)
       << "autoscale: replica retired";
 }
@@ -1178,13 +1093,7 @@ AutoscaleDecision ShardedServer::autoscale_tick_now() {
     const double per_replica =
         active == 0 ? 0.0
                     : static_cast<double>(depth) / static_cast<double>(active);
-    const std::uint64_t decided =
-        decision.deadline_hits_delta + decision.deadline_misses_delta;
-    const bool slo_breach =
-        knobs.slo_target > 0.0 && decided > 0 &&
-        static_cast<double>(decision.deadline_hits_delta) <
-            knobs.slo_target * static_cast<double>(decided);
-    const bool up_signal = per_replica >= knobs.scale_up_depth || slo_breach;
+    const bool up_signal = per_replica >= knobs.scale_up_depth;
     const bool down_signal = !up_signal &&
                              per_replica <= knobs.scale_down_depth &&
                              decision.shed_delta == 0 &&

@@ -20,6 +20,10 @@
 // own queue into batches; an idle replica additionally WORK-STEALS ripe
 // foreign work (a full batch, or past-coalescing-deadline requests), which
 // never launches a request earlier than the single-replica server would.
+// However a request leaves — reply, rejection, shed or failure — it leaves
+// through one private terminal path that frees its tenant slot, drops it
+// from the inflight gauge, counts the outcome and closes its trace before
+// settling its future.
 //
 // Fault-tolerance loop (see runtime/health.hpp for the state machine):
 //  * inject_replica_faults(r, config) mutates replica r's program in place
@@ -37,27 +41,27 @@
 //    clone with its original CompileOptions — same seeds, so the fresh chip
 //    is bitwise the clean program — then re-probes; the replica rejoins
 //    (Healthy) only when its canary checksum matches the clean reference
-//    bitwise.
+//    bitwise. Scale-up admission reuses the same probe, reprogram and
+//    mark-healthy steps.
 //  * a maintenance thread automates probe → quarantine → recalibrate →
-//    rejoin when probe_interval > 0 (auto_recalibrate gates the reprogram
-//    step); with interval 0 the loop is driven manually — the mode the
-//    deterministic fault bench replays.
+//    rejoin when probe_interval > 0; with interval 0 the loop is driven
+//    manually — the mode the deterministic fault bench replays.
 //
 // Elasticity (AutoscaleConfig — see docs/ARCHITECTURE.md "Elastic serving &
 // traffic replay"): the server provisions CAPACITY for max_replicas but
 // activates only `replicas` at start. A controller — run by the maintenance
 // thread each probe tick, or manually via autoscale_tick_now() — samples
-// queue depth and deadline-SLO attainment (from the engine's registry
-// counters) and scales the active set between min_replicas and
-// max_replicas. Scale-up compiles the next replica slot on first use
-// (seed = base + r·seed_stride) and admits it through the same
-// bitwise-clean canary gate quarantined replicas rejoin through; scale-down retires the emptiest active replica, re-routing its
-// queued requests to the survivors (counted as `drained`, not as retries —
-// retirement is voluntary, not a fault). Every decision is a pure function
-// of the counters sampled at the tick and is appended to a replayable
-// decision log (autoscale_log / autoscale_log_checksum). No scaling happens
-// while any active replica is quarantined — the fault loop owns the fleet
-// first.
+// queue depth and the deadline/shed/rejected counters since the previous
+// tick and scales the active set between min_replicas and max_replicas.
+// Scale-up compiles the next replica slot on first use (seed = base +
+// r·seed_stride) and admits it through the same bitwise-clean canary gate
+// quarantined replicas rejoin through; scale-down retires the emptiest
+// active replica, re-routing its queued requests to the survivors (counted
+// as `drained`, not as retries — retirement is voluntary, not a fault).
+// Every decision is a pure function of the counters sampled at the tick and
+// is appended to a replayable decision log (autoscale_log /
+// autoscale_log_checksum). No scaling happens while any active replica is
+// quarantined — the fault loop owns the fleet first.
 //
 // Fairness: requests carry a tenant id and a priority (RequestOptions).
 // Queues are kept in deadline-then-priority order, displacement shedding
@@ -96,6 +100,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -133,10 +138,6 @@ struct AutoscaleConfig {
   double scale_down_depth = 0.0;
   /// Consecutive down-signal ticks required before acting.
   std::size_t down_ticks = 2;
-  /// Additional scale-up signal: deadline-SLO attainment since the previous
-  /// tick (hits / (hits + misses), when any deadline was decided) fell below
-  /// this. 0 disables the SLO signal (depth only).
-  double slo_target = 0.0;
 
   void validate() const;
 };
@@ -151,8 +152,10 @@ struct AutoscaleDecision {
   std::uint64_t tick = 0;           ///< 1-based controller tick index
   std::size_t queue_depth = 0;      ///< fleet queue depth sampled at the tick
   std::size_t active_replicas = 0;  ///< active replicas BEFORE the action
-  std::uint64_t deadline_hits_delta = 0;    ///< since the previous tick
-  std::uint64_t deadline_misses_delta = 0;  ///< since the previous tick
+  /// Deadline outcomes since the previous tick — logged for replay, not a
+  /// scaling signal.
+  std::uint64_t deadline_hits_delta = 0;
+  std::uint64_t deadline_misses_delta = 0;
   std::size_t shed_delta = 0;               ///< shed since the previous tick
   std::size_t rejected_delta = 0;       ///< rejected since the previous tick
   bool quarantine_hold = false;  ///< a quarantined replica froze scaling
@@ -189,12 +192,9 @@ struct ShardConfig {
   /// Allow idle replicas to take ripe work from other replicas' queues.
   bool steal_work = true;
   HealthConfig health;  ///< canary probe set + lifecycle thresholds
-  /// Reprogram quarantined replicas (maintenance thread only; manual
-  /// recalibrate_now() always works). Off = quarantined replicas stay out —
-  /// the ablation arm of the fault bench.
-  bool auto_recalibrate = true;
-  /// Period of the background probe/recalibrate thread; 0 = no thread,
-  /// probing is manual (probe_now / recalibrate_now).
+  /// Period of the background probe/recalibrate thread, which reprograms
+  /// every replica its probe quarantines; 0 = no thread, probing is manual
+  /// (probe_now / recalibrate_now).
   std::chrono::microseconds probe_interval{0};
   /// Re-route attempts per request after its replica is quarantined;
   /// beyond this the request is shed.
@@ -209,17 +209,9 @@ struct ShardConfig {
   void validate() const;
 };
 
-/// Per-replica serving counters (latency window per replica: kLatencyWindow
-/// samples).
+/// Per-replica serving state and counters.
 struct ReplicaStats {
   std::size_t completed = 0;
-  std::size_t batches = 0;
-  std::size_t stolen_batches = 0;  ///< batches taken from another queue
-  std::size_t max_batch_seen = 0;
-  double mean_batch = 0.0;
-  double latency_p50_ms = 0.0;
-  double latency_p95_ms = 0.0;
-  double latency_p99_ms = 0.0;
   ReplicaHealth health = ReplicaHealth::kHealthy;
   std::size_t fault_injections = 0;  ///< inject_replica_faults calls
   std::size_t recalibrations = 0;    ///< successful rejoin count
@@ -232,7 +224,7 @@ struct ReplicaStats {
 struct ShardStats {
   ServerStats aggregate;  ///< counters summed, percentiles over all replicas
   std::vector<ReplicaStats> replicas;
-  std::size_t stolen_batches = 0;  ///< Σ replicas[i].stolen_batches
+  std::size_t stolen_batches = 0;  ///< batches taken from another queue
   std::size_t retried = 0;  ///< requests re-routed off a quarantined replica
   std::size_t recalibrations = 0;  ///< Σ replicas[i].recalibrations
   std::size_t active_replicas = 0;  ///< replicas currently taking placement
@@ -262,21 +254,18 @@ class ShardedServer {
   ShardedServer& operator=(const ShardedServer&) = delete;
 
   /// Enqueues one sample on the least-loaded active replica and returns a
-  /// future for its logits (rank-1, classes). The request carries
-  /// `config.batching.admission.default_deadline`. A full fleet queue, a
-  /// shut-down server, or a predicted deadline miss rejects: the future
-  /// carries std::runtime_error naming the reason.
-  std::future<Tensor> submit(Tensor sample);
+  /// future for its logits (rank-1, classes). `options` carries the
+  /// deadline, tenant id and priority: placement and displacement shedding
+  /// order by (deadline, then priority). A shut-down server, a sample
+  /// holding NaN or ±Inf, a tenant already holding max_inflight_per_tenant
+  /// queued+executing requests, a predicted deadline miss or a full fleet
+  /// queue rejects: the future carries std::runtime_error naming the reason.
+  /// A sample of the wrong shape throws gs::Error.
+  std::future<Tensor> submit(Tensor sample, const RequestOptions& options = {});
 
-  /// As above with an explicit per-request deadline (time allowed from
-  /// submit to completion; 0 = none).
+  /// As above with only a deadline (time allowed from submit to completion;
+  /// 0 = none).
   std::future<Tensor> submit(Tensor sample, std::chrono::microseconds deadline);
-
-  /// Full per-request surface: deadline, tenant id, priority. Placement and
-  /// displacement shedding order by (deadline, then priority); the
-  /// per-tenant inflight cap rejects a tenant already holding
-  /// max_inflight_per_tenant queued+executing requests.
-  std::future<Tensor> submit(Tensor sample, const RequestOptions& options);
 
   /// Blocking convenience: submit + get.
   Tensor infer(const Tensor& sample);
@@ -363,13 +352,9 @@ class ShardedServer {
   /// Provisioned replica SLOTS (the autoscale capacity) — not all of them
   /// are necessarily active or even compiled; see active_replica_count().
   std::size_t replica_count() const { return capacity_; }
-  /// Pool threads replica r's executor runs on (the split_thread_budget
-  /// share — fixed at construction, stable across scale events).
-  std::size_t threads_for_replica(std::size_t r) const {
-    return thread_split_.at(r);
-  }
-  /// The full per-replica thread split (shares sum to the budget whenever
-  /// capacity ≤ budget).
+  /// Pool threads per replica slot: the split_thread_budget shares, fixed at
+  /// construction and stable across scale events (they sum to the budget
+  /// whenever capacity ≤ budget).
   const std::vector<std::size_t>& thread_split() const { return thread_split_; }
   /// The program replica `r` executes (distinct analog seed per replica).
   /// NOT synchronised against concurrent injection/recalibration — callers
@@ -387,7 +372,18 @@ class ShardedServer {
     std::size_t attempts = 0;  ///< re-routes consumed (quarantine retries)
     std::uint64_t id = 0;  ///< submit-order id (trace sampling key)
     std::shared_ptr<obs::Trace> trace;  ///< non-null when sampled
-    std::uint64_t queue_span = 0;       ///< open "queue" span id
+    /// Open phase span under the root: "submit", then "queue", then
+    /// "batch" (0 when unsampled).
+    std::uint64_t span = 0;
+    std::uint64_t execute_span = 0;  ///< open "execute" span under "batch"
+  };
+
+  /// How a request leaves the engine. The three rejections come first:
+  /// they were never admitted, so they hold no tenant slot and no inflight
+  /// count. finish_requests maps each to its counter and `result` note.
+  enum class Outcome {
+    kRejected, kTenantRejected, kAdmissionRejected,
+    kCompleted, kDisplaced, kShed, kFailed
   };
 
   /// One compiled replica: the program plus its private executor/pool. Only
@@ -450,13 +446,27 @@ class ShardedServer {
   /// number re-routed.
   std::size_t reroute_queue(std::size_t r, std::vector<Request>& shed,
                             bool count_retry) GS_REQUIRES(mutex_);
-  /// Decrements `tenant`'s inflight count, erasing the entry at zero. No-op
-  /// when the per-tenant cap is disabled (the count is only maintained when
-  /// it is enforced).
-  void release_tenant(std::uint64_t tenant) GS_REQUIRES(mutex_);
-  /// Scale-up admission: builds replica r if needed, probes its canary, and
-  /// (when the probe is not bitwise clean — e.g. faults were injected while
-  /// the slot was retired) reprograms from the pristine clone and re-probes.
+  /// The one exit of every request from the engine. In order: frees the
+  /// tenant slots and inflight counts of admitted requests (before any
+  /// promise settles, so a client holding its result can resubmit at once),
+  /// counts `outcome`, closes each sampled trace with the outcome's `result`
+  /// note, then settles each promise — with row i of `logits` for
+  /// kCompleted, otherwise with `error`.
+  void finish_requests(std::span<Request> requests, Outcome outcome,
+                       const std::exception_ptr& error,
+                       const Tensor* logits = nullptr) GS_EXCLUDES(mutex_);
+  /// Runs replica r's canary under its program reader lock and counts the
+  /// probe on gs_replica_probes_total.
+  CanaryProbe probe_replica(std::size_t r) GS_EXCLUDES(mutex_);
+  /// Reprograms replica r from the pristine network clone with its original
+  /// options (same seed → bitwise the clean program).
+  void reprogram_replica(std::size_t r) GS_EXCLUDES(mutex_);
+  /// Marks replica r Healthy (tracker reset, transition recorded) and, with
+  /// `activate`, adds it to the active set; wakes the dispatchers.
+  void mark_healthy(std::size_t r, bool activate) GS_EXCLUDES(mutex_);
+  /// Scale-up admission through the readmission gate: builds replica r if
+  /// needed and probes it; a probe that is not bitwise clean (e.g. faults
+  /// were injected while the slot was retired) reprograms and re-probes.
   /// Activates the replica only on a bitwise-clean probe; returns whether it
   /// was admitted.
   bool activate_replica(std::size_t r) GS_EXCLUDES(mutex_);
@@ -476,16 +486,9 @@ class ShardedServer {
       GS_REQUIRES(mutex_);
   void run_batch(std::size_t self, std::size_t victim,
                  std::vector<Request>& requests) GS_EXCLUDES(mutex_);
-  /// Sheds `expired` requests (rejects their futures, counts them). Takes
-  /// mutex_ to release tenant slots, so must be called without it held.
-  void shed_requests(std::vector<Request>& expired, const char* reason)
-      GS_EXCLUDES(mutex_);
   /// Active (non-quarantined) replica with the shortest queue; SIZE_MAX
   /// when none.
   std::size_t placement_target(std::size_t exclude) const GS_REQUIRES(mutex_);
-  /// Finishes the trace of a request dropped before execution (annotates the
-  /// root span with `result` and hands the trace to the tracer).
-  void finish_dropped(Request& request, const char* result) const;
   /// Refreshes the queue-depth gauges (per replica + engine aggregate).
   void update_queue_gauges() const GS_REQUIRES(mutex_);
   /// Records a health transition of replica r into `state` on the replica's

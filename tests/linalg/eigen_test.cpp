@@ -416,11 +416,8 @@ TEST_P(EigenVsJacobi, EigenvectorsAgreeUpToSignOrSubspace) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Spectra, EigenVsJacobi, ::testing::ValuesIn(spectrum_cases()),
-    [](const ::testing::TestParamInfo<SpectrumCase>& info) {
-      return info.param.name;
-    });
+INSTANTIATE_TEST_SUITE_P(Spectra, EigenVsJacobi,
+                         ::testing::ValuesIn(spectrum_cases()));
 
 TEST(EigenVsJacobi, ClipToErrorPicksOracleRank) {
   // An 800×500 matrix with a decaying column scale — the LeNet fc1 shape —

@@ -12,41 +12,19 @@
 
 #include <chrono>
 #include <future>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/check.hpp"
-#include "nn/dense.hpp"
 #include "obs/metrics.hpp"
 #include "obs/serving_metrics.hpp"
+#include "shard_fixtures.hpp"
 
 namespace gs::runtime {
 namespace {
 
-nn::Network small_net(std::uint64_t seed = 3) {
-  Rng rng(seed);
-  nn::Network net;
-  net.add(std::make_unique<nn::DenseLayer>("fc", 64, 10, rng));
-  return net;
-}
-
-Tensor random_sample(std::uint64_t seed) {
-  Tensor t(Shape{64});
-  Rng rng(seed);
-  t.fill_uniform(rng, -1.0f, 1.0f);
-  return t;
-}
-
-/// Heavy stuck-at damage: quarantines on the first probe.
-hw::FaultModelConfig heavy_faults(std::uint64_t seed = 5) {
-  hw::FaultModelConfig faults;
-  faults.stuck_rate = 0.2;
-  faults.stuck_at_gmax_fraction = 1.0;
-  faults.seed = seed;
-  return faults;
-}
+using namespace fixtures;
 
 /// Base elastic config: one initial replica, headroom to three, deterministic
 /// manual ticks (no maintenance thread), isolated metrics.
@@ -170,7 +148,6 @@ TEST(AutoscaleTest, NoScalingWhileAnyReplicaQuarantined) {
   ShardConfig config = elastic_config(registry);
   config.replicas = 2;
   config.autoscale.scale_up_depth = 1.0;
-  config.auto_recalibrate = false;
   ShardedServer server(net, Shape{64}, CompileOptions{}, config);
 
   server.set_paused(true);

@@ -9,31 +9,18 @@
 #include <chrono>
 #include <cstring>
 #include <future>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/check.hpp"
-#include "nn/dense.hpp"
+#include "shard_fixtures.hpp"
 
 namespace gs::runtime {
 namespace {
 
-nn::Network small_net(std::uint64_t seed = 3) {
-  Rng rng(seed);
-  nn::Network net;
-  net.add(std::make_unique<nn::DenseLayer>("fc", 64, 10, rng));
-  return net;
-}
-
-Tensor random_sample(std::uint64_t seed) {
-  Tensor t(Shape{64});
-  Rng rng(seed);
-  t.fill_uniform(rng, -1.0f, 1.0f);
-  return t;
-}
+using namespace fixtures;
 
 /// Reference logits for one sample through a clean single-program executor.
 Tensor reference_logits(const Executor& executor, const Tensor& sample) {
@@ -43,16 +30,6 @@ Tensor reference_logits(const Executor& executor, const Tensor& sample) {
   Tensor row(Shape{logits.numel()});
   std::copy(logits.data(), logits.data() + logits.numel(), row.data());
   return row;
-}
-
-/// Heavy stuck-at-g_max damage — divergence far past the default
-/// quarantine threshold on the first probe.
-hw::FaultModelConfig heavy_faults(std::uint64_t seed = 5) {
-  hw::FaultModelConfig faults;
-  faults.stuck_rate = 0.2;
-  faults.stuck_at_gmax_fraction = 1.0;
-  faults.seed = seed;
-  return faults;
 }
 
 TEST(FailoverTest, QuarantineReroutesQueuedRequestsToHealthyReplica) {
@@ -133,6 +110,24 @@ TEST(FailoverTest, RecalibrationRestoresBitwiseCleanProgramAndRejoins) {
   EXPECT_EQ(stats.recalibrations, 1u);
   EXPECT_EQ(stats.replicas[0].recalibrations, 1u);
   EXPECT_EQ(stats.replicas[0].fault_injections, 1u);
+}
+
+TEST(FailoverTest, RecalibrationCountsItsCanaryProbe) {
+  nn::Network net = small_net();
+  ShardConfig config;
+  config.replicas = 2;
+  ShardedServer server(net, Shape{64}, CompileOptions{}, config);
+  const obs::Counter& probes = server.registry().counter(
+      "gs_replica_probes_total", "", obs::Labels{{"replica", "0"}});
+
+  server.inject_replica_faults(0, heavy_faults());
+  server.probe_now(0);
+  ASSERT_EQ(server.health(0), ReplicaHealth::kQuarantined);
+  const std::uint64_t before = probes.value();
+  // gs_replica_probes_total counts every canary probe run against the
+  // replica, including the one that gates its rejoin.
+  ASSERT_TRUE(server.recalibrate_now(0));
+  EXPECT_EQ(probes.value(), before + 1);
 }
 
 TEST(FailoverTest, LastActiveReplicaIsClampedToDegradedAndKeepsServing) {
@@ -291,7 +286,6 @@ TEST(FailoverTest, MaintenanceThreadHealsInjectedFaultsAutomatically) {
   ShardConfig config;
   config.replicas = 2;
   config.probe_interval = std::chrono::microseconds(200);
-  config.auto_recalibrate = true;
   ShardedServer server(net, Shape{64}, CompileOptions{}, config);
 
   const std::uint64_t clean = server.replica_program_checksum(1);

@@ -14,33 +14,20 @@
 #include <cstdint>
 #include <cstring>
 #include <future>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "nn/dense.hpp"
 #include "obs/exec_profile.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/shard.hpp"
+#include "shard_fixtures.hpp"
 
 namespace gs::runtime {
 namespace {
 
-nn::Network small_net(std::uint64_t seed = 3) {
-  Rng rng(seed);
-  nn::Network net;
-  net.add(std::make_unique<nn::DenseLayer>("fc", 64, 10, rng));
-  return net;
-}
-
-Tensor random_sample(std::uint64_t seed) {
-  Tensor t(Shape{64});
-  Rng rng(seed);
-  t.fill_uniform(rng, -1.0f, 1.0f);
-  return t;
-}
+using namespace fixtures;
 
 /// Config of a one-replica server — the plain batching server.
 ShardConfig one_replica(obs::Registry* registry, std::size_t trace_every) {
@@ -66,15 +53,6 @@ Tensor reference_logits(const Executor& executor, const Tensor& sample) {
   Tensor row(Shape{logits.numel()});
   std::copy(logits.data(), logits.data() + logits.numel(), row.data());
   return row;
-}
-
-/// Heavy stuck-at-g_max damage — quarantines on the first probe.
-hw::FaultModelConfig heavy_faults(std::uint64_t seed = 5) {
-  hw::FaultModelConfig faults;
-  faults.stuck_rate = 0.2;
-  faults.stuck_at_gmax_fraction = 1.0;
-  faults.seed = seed;
-  return faults;
 }
 
 /// Every parent id must have been created before its children (ids are

@@ -12,33 +12,19 @@
 
 #include <cstring>
 #include <future>
-#include <memory>
 #include <thread>
 #include <vector>
 
 #include "common/check.hpp"
 #include "core/models.hpp"
 #include "data/synthetic_mnist.hpp"
-#include "nn/dense.hpp"
 #include "nn/trainer.hpp"
+#include "shard_fixtures.hpp"
 
 namespace gs::runtime {
 namespace {
 
-/// Small dense net: fast to compile many replicas of.
-nn::Network small_net(std::uint64_t seed = 3) {
-  Rng rng(seed);
-  nn::Network net;
-  net.add(std::make_unique<nn::DenseLayer>("fc", 64, 10, rng));
-  return net;
-}
-
-Tensor random_sample(std::uint64_t seed) {
-  Tensor t(Shape{64});
-  Rng rng(seed);
-  t.fill_uniform(rng, -1.0f, 1.0f);
-  return t;
-}
+using namespace fixtures;
 
 TEST(ShardedServerTest, IdealReplicasMatchSingleExecutorBitwise) {
   nn::Network net = small_net();
@@ -228,7 +214,7 @@ TEST(ShardedServerTest, ThreadBudgetSplitsAcrossReplicas) {
   config.total_threads = 4;
   ShardedServer server(net, Shape{64}, CompileOptions{}, config);
   EXPECT_EQ(server.thread_split(), (std::vector<std::size_t>{2, 2}));
-  EXPECT_EQ(server.threads_for_replica(0), 2u);
+  EXPECT_EQ(server.thread_split().at(0), 2u);
 
   // A non-divisible budget distributes the remainder to the FIRST
   // total%replicas replicas instead of idling it — the shares sum to the
