@@ -1,5 +1,5 @@
 // 2-D convolution computed as im2col + GEMM (the Caffe lowering; the shared
-// per-sample shell is MatrixLayer's, nn/matrix_layer.hpp).
+// whole-batch lowering is MatrixLayer's, nn/matrix_layer.hpp).
 //
 // The weight is held directly in the unrolled orientation (C·kh·kw, F) —
 // each *column* is one filter, matching both the crossbar mapping of

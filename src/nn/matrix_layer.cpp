@@ -1,5 +1,8 @@
 #include "nn/matrix_layer.hpp"
 
+#include <algorithm>
+
+#include "common/thread_pool.hpp"
 #include "tensor/matrix.hpp"
 
 namespace gs::nn {
@@ -58,7 +61,8 @@ Tensor MatrixLayer::chain_forward(const std::vector<ParamRef>& ms,
 }
 
 Tensor MatrixLayer::chain_backward(const std::vector<ParamRef>& ms,
-                                   const Tensor& dy, const Tensor* inputs) {
+                                   const Tensor& dy,
+                                   std::vector<Tensor> inputs) {
   bias_grad_ += sum_rows(dy);
   // Both transposed products run through the packed kernel, which absorbs
   // the transpose during packing — no inputᵀ or Msᵀ is materialised.
@@ -66,6 +70,9 @@ Tensor MatrixLayer::chain_backward(const std::vector<ParamRef>& ms,
   const Tensor* cur = &dy;
   for (std::size_t s = ms.size(); s-- > 0;) {
     gemm(inputs[s], /*ta=*/true, *cur, /*tb=*/false, *ms[s].grad, 1.0f, 1.0f);
+    // Free the stage input before d·Msᵀ allocates its like-sized gradient:
+    // for a conv layer both are whole-batch patch matrices.
+    inputs[s] = Tensor();
     d = matmul(*cur, *ms[s].value, /*ta=*/false, /*tb=*/true);
     cur = &d;
   }
@@ -78,13 +85,13 @@ Tensor MatrixLayer::forward(const Tensor& input, bool train) {
   // Stage inputs are cached before the core reads them, so reserve the
   // whole cache up front: a reallocation would move a tensor the core is
   // still reading.
+  if (train) cache_.reserve(ms.size());
   const Conv2dSpec* conv = conv_spec();
   if (conv == nullptr) {
     GS_CHECK_MSG(input.rank() == 2 && input.cols() == ms.front().value->rows(),
                  name_ << ": input shape " << shape_to_string(input.shape())
                        << " vs in_features " << ms.front().value->rows());
     if (!train) return chain_forward(ms, input, false);
-    cache_.reserve(ms.size());
     cache_.push_back(input);
     return chain_forward(ms, cache_.back(), true);
   }
@@ -94,21 +101,30 @@ Tensor MatrixLayer::forward(const Tensor& input, bool train) {
   const Shape chw{input.dim(1), input.dim(2), input.dim(3)};
   geometry_ = conv->geometry(chw);
   const std::size_t patches = geometry_.out_height() * geometry_.out_width();
+  const std::size_t patch_floats = patches * geometry_.patch_size();
   const std::size_t f = ms.back().value->cols();
   const std::size_t sample = shape_numel(chw);
-  if (train) cache_.reserve(batch * ms.size());
+  // A train forward keeps the whole-batch patch matrix for backward; an eval
+  // forward lowers at most kEvalPatchFloats of it at a time.
+  const std::size_t block =
+      train ? batch
+            : std::clamp<std::size_t>(kEvalPatchFloats / patch_floats, 1,
+                                      std::max<std::size_t>(batch, 1));
+  ThreadPool& pool = ThreadPool::global();
 
   Tensor output(Shape{batch, f, geometry_.out_height(), geometry_.out_width()});
-  for (std::size_t b = 0; b < batch; ++b) {
-    Tensor cols(Shape{patches, geometry_.patch_size()});
-    im2col(input.data() + b * sample, geometry_, cols.data());
+  for (std::size_t b0 = 0; b0 < batch; b0 += block) {
+    const std::size_t n = std::min(block, batch - b0);
+    Tensor cols(Shape{n * patches, geometry_.patch_size()});
+    im2col_batch(input.data() + b0 * sample, n, geometry_, cols.data(), pool);
     const Tensor* x = &cols;
     if (train) {
       cache_.push_back(std::move(cols));
       x = &cache_.back();
     }
-    const Tensor out_mat = chain_forward(ms, *x, train);  // (oh·ow, F)
-    retile(out_mat.data(), patches, f, output.data() + b * f * patches);
+    const Tensor out_mat = chain_forward(ms, *x, train);  // (n·oh·ow, F)
+    retile_batch(out_mat.data(), n, patches, f,
+                 output.data() + b0 * f * patches, pool);
   }
   return output;
 }
@@ -120,26 +136,23 @@ Tensor MatrixLayer::backward(const Tensor& grad_output) {
   if (conv_spec() == nullptr) {
     GS_CHECK(grad_output.rank() == 2 && grad_output.cols() == f &&
              grad_output.rows() == cache_.front().rows());
-    return chain_backward(ms, grad_output, cache_.data());
+    return chain_backward(ms, grad_output, std::move(cache_));
   }
 
-  const std::size_t batch = cache_.size() / ms.size();
   const std::size_t oh = geometry_.out_height();
   const std::size_t ow = geometry_.out_width();
+  const std::size_t patches = oh * ow;
+  const std::size_t batch = cache_.front().rows() / patches;
   GS_CHECK(grad_output.rank() == 4 && grad_output.dim(0) == batch &&
            grad_output.dim(1) == f && grad_output.dim(2) == oh &&
            grad_output.dim(3) == ow);
-  const std::size_t patches = oh * ow;
-  const std::size_t sample =
-      geometry_.in_channels * geometry_.in_height * geometry_.in_width;
+  ThreadPool& pool = ThreadPool::global();
+  Tensor dy(Shape{batch * patches, f});
+  retile_batch(grad_output.data(), batch, f, patches, dy.data(), pool);
+  const Tensor dcols = chain_backward(ms, dy, std::move(cache_));
   Tensor grad_input(Shape{batch, geometry_.in_channels, geometry_.in_height,
                           geometry_.in_width});
-  Tensor dy(Shape{patches, f});
-  for (std::size_t b = 0; b < batch; ++b) {
-    retile(grad_output.data() + b * f * patches, f, patches, dy.data());
-    const Tensor dcols = chain_backward(ms, dy, &cache_[b * ms.size()]);
-    col2im(dcols.data(), geometry_, grad_input.data() + b * sample);
-  }
+  col2im_batch(dcols.data(), batch, geometry_, grad_input.data(), pool);
   return grad_input;
 }
 

@@ -16,12 +16,15 @@
 // through the chain (x·M0, then ·M1) and adds the bias; its backward
 // accumulates dMs += inputᵀ·d and propagates d·Msᵀ stage by stage, last
 // stage first. Fully-connected layers run the core on the (B, in) batch.
-// Conv layers run it per sample: forward im2col's the sample straight from
-// the input batch into a patch matrix, runs the core and re-tiles the
-// patch-major (oh·ow, F) result into channel-major F×oh×ow; backward
-// re-tiles dY, runs the core backward and col2im's dcols into the input
-// gradient. runtime::Executor lowers conv steps with the same im2col and
-// re-tile helpers (tensor/im2col.hpp).
+// Conv layers run it on the whole batch too: forward im2col's every sample
+// (in parallel) into one (B·oh·ow, patch) matrix, runs the core once and
+// re-tiles the patch-major (B·oh·ow, F) result into channel-major B×F×oh×ow;
+// backward re-tiles dY into one (B·oh·ow, F) matrix, runs the core backward
+// once (dW is one product with K = B·oh·ow) and col2im's dcols into the
+// input gradient, parallel over samples. An eval forward lowers the batch
+// in blocks of at most kEvalPatchFloats patch-matrix floats, so inference
+// memory does not grow with the batch. runtime::Executor lowers conv steps
+// with the same batch helpers (tensor/im2col.hpp).
 #pragma once
 
 #include <vector>
@@ -73,6 +76,10 @@ class MatrixLayer : public Layer {
   void clear_compressed();
   bool compressed() const { return !panels_.empty(); }
 
+  /// Patch-matrix floats an eval conv forward lowers at a time (1 MiB); a
+  /// train forward lowers, and keeps for backward, the whole batch.
+  static constexpr std::size_t kEvalPatchFloats = std::size_t{1} << 18;
+
   Tensor forward(const Tensor& input, bool train) final;
   Tensor backward(const Tensor& grad_output) final;
   std::string name() const final { return name_; }
@@ -90,18 +97,20 @@ class MatrixLayer : public Layer {
   Tensor chain_forward(const std::vector<ParamRef>& ms, const Tensor& x,
                        bool train);
   /// Core backward: db += Σ rows d, then per stage (last first)
-  /// dMs += inputs[s]ᵀ·d and d = d·Msᵀ; returns d(x).
+  /// dMs += inputs[s]ᵀ·d and d = d·Msᵀ; returns d(x). Consumes the stage
+  /// inputs (the train cache), releasing each once its dMs is done.
   Tensor chain_backward(const std::vector<ParamRef>& ms, const Tensor& dy,
-                        const Tensor* inputs);
+                        std::vector<Tensor> inputs);
 
   std::string name_;
   Tensor bias_;  // (out)
   Tensor bias_grad_;
   std::vector<linalg::CompressedPanel> panels_;  // eval-only, one per matrix
 
-  // Train-forward caches for backward; eval forwards release them. cache_
-  // holds each sample's stage inputs, sample-major (fully-connected layers
-  // are one "sample": the whole batch).
+  // Train-forward caches for backward; eval forwards release them and
+  // backward consumes them. cache_ holds the stage inputs of the whole
+  // batch: the (B, in) input or the (B·oh·ow, patch) patch matrix, then the
+  // low-rank middle activation.
   std::vector<Tensor> cache_;
   ConvGeometry geometry_;  // conv layers: geometry of the last forward
 };

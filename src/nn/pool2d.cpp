@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "common/thread_pool.hpp"
+
 namespace gs::nn {
 
 Pool2dLayer::Pool2dLayer(std::string name, PoolMode mode, std::size_t kernel,
@@ -37,7 +39,10 @@ Tensor Pool2dLayer::forward(const Tensor& input, bool train) {
   }
   Tensor output(Shape{batch, channels, oh, ow});
 
-  for (std::size_t b = 0; b < batch; ++b) {
+  // Parallel over samples: each (b, c) plane writes only its own output and
+  // argmax plane, so the result is bitwise that of a serial loop. (An index
+  // per plane costs more to dispatch than LeNet's 8×8 pool2 planes take.)
+  ThreadPool::global().parallel_for(batch, [&](std::size_t b) {
     for (std::size_t c = 0; c < channels; ++c) {
       const float* in_plane = input.data() + (b * channels + c) * ih * iw;
       float* out_plane = output.data() + (b * channels + c) * oh * ow;
@@ -78,7 +83,7 @@ Tensor Pool2dLayer::forward(const Tensor& input, bool train) {
         }
       }
     }
-  }
+  });
   return output;
 }
 
@@ -96,7 +101,8 @@ Tensor Pool2dLayer::backward(const Tensor& grad_output) {
            grad_output.dim(3) == ow);
 
   Tensor grad_input(cached_input_shape_);
-  for (std::size_t b = 0; b < batch; ++b) {
+  // Argmax indices stay inside their plane, so samples run independently.
+  ThreadPool::global().parallel_for(batch, [&](std::size_t b) {
     for (std::size_t c = 0; c < channels; ++c) {
       const float* gout = grad_output.data() + (b * channels + c) * oh * ow;
       float* gin = grad_input.data() + (b * channels + c) * ih * iw;
@@ -121,7 +127,7 @@ Tensor Pool2dLayer::backward(const Tensor& grad_output) {
         }
       }
     }
-  }
+  });
   return grad_input;
 }
 

@@ -282,18 +282,12 @@ Tensor Executor::run_conv(const Step& step, const Tensor& act,
   const std::size_t oh = g.out_height();
   const std::size_t ow = g.out_width();
   const std::size_t patches = oh * ow;
-  const std::size_t patch = g.patch_size();
-  const std::size_t sample = shape_numel(step.in_shape);
 
-  // Whole-batch im2col: each sample writes its own disjoint row range of
-  // `cols` in place.
   GS_CHECK_MSG(act.dim(1) == g.in_channels && act.dim(2) == g.in_height &&
                    act.dim(3) == g.in_width,
                step.name << ": conv input " << shape_to_string(act.shape()));
-  Tensor cols = buffers_->take(Shape{batch * patches, patch});
-  pool().parallel_for(batch, [&](std::size_t b) {
-    im2col(act.data() + b * sample, g, cols.data() + b * patches * patch);
-  });
+  Tensor cols = buffers_->take(Shape{batch * patches, g.patch_size()});
+  im2col_batch(act.data(), batch, g, cols.data(), pool());
 
   Tensor cur = std::move(cols);
   for (const MatrixPlan& plan : step.stages) {
@@ -311,10 +305,7 @@ Tensor Executor::run_conv(const Step& step, const Tensor& act,
 
   // Re-tile (B·oh·ow, F) patch-major results into channel-major B×F×oh×ow.
   Tensor out = buffers_->take(Shape{batch, filters, oh, ow});
-  pool().parallel_for(batch, [&](std::size_t b) {
-    retile(cur.data() + b * patches * filters, patches, filters,
-           out.data() + b * filters * patches);
-  });
+  retile_batch(cur.data(), batch, patches, filters, out.data(), pool());
   buffers_->give(cur);
   return out;
 }

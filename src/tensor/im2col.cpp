@@ -1,5 +1,10 @@
 #include "tensor/im2col.hpp"
 
+#include <algorithm>
+#include <vector>
+
+#include "common/thread_pool.hpp"
+
 namespace gs {
 
 std::size_t ConvGeometry::out_height() const {
@@ -26,36 +31,124 @@ void ConvGeometry::validate() const {
   (void)out_width();
 }
 
-void im2col(const float* image, const ConvGeometry& g, float* out) {
+namespace {
+
+/// The in-image kx run of one output column: taps kx in [lo, hi) read input
+/// columns first, first + 1, …; taps outside it fall in the zero padding.
+struct ColumnRun {
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  std::size_t first = 0;
+};
+
+/// Resolves the padding of every output column once, so the patch loops
+/// below copy or accumulate plain contiguous runs.
+std::vector<ColumnRun> column_runs(const ConvGeometry& g) {
+  const long long iw = static_cast<long long>(g.in_width);
+  const long long kw = static_cast<long long>(g.kernel_w);
+  std::vector<ColumnRun> runs(g.out_width());
+  for (std::size_t ox = 0; ox < runs.size(); ++ox) {
+    const long long x0 = static_cast<long long>(ox * g.stride_w) -
+                         static_cast<long long>(g.pad_w);
+    const long long lo = std::clamp(-x0, 0LL, kw);
+    const long long hi = std::clamp(iw - x0, lo, kw);
+    if (hi > lo) {
+      runs[ox] = {static_cast<std::size_t>(lo), static_cast<std::size_t>(hi),
+                  static_cast<std::size_t>(x0 + lo)};
+    }
+  }
+  return runs;
+}
+
+/// Offsets (iy · in_width) of the input rows that taps ky = 0… read at
+/// output row oy, or -1 where the tap falls in the zero padding.
+void input_rows(const ConvGeometry& g, std::size_t oy,
+                std::vector<long long>& offsets) {
+  for (std::size_t ky = 0; ky < g.kernel_h; ++ky) {
+    const long long iy = static_cast<long long>(oy * g.stride_h + ky) -
+                         static_cast<long long>(g.pad_h);
+    offsets[ky] = iy >= 0 && iy < static_cast<long long>(g.in_height)
+                      ? iy * static_cast<long long>(g.in_width)
+                      : -1;
+  }
+}
+
+// The patch loops take the kernel width as a template argument: kFixedWidth
+// is a width the compiler unrolls each run for (5, the kernel of every paper
+// network), 0 reads it from the geometry.
+template <std::size_t kFixedWidth>
+void im2col_runs(const float* image, const ConvGeometry& g, float* out) {
+  const std::size_t kw = kFixedWidth != 0 ? kFixedWidth : g.kernel_w;
+  const std::size_t plane = g.in_height * g.in_width;
+  const std::vector<ColumnRun> runs = column_runs(g);
+  std::vector<long long> rows(g.kernel_h);
   const std::size_t oh = g.out_height();
-  const std::size_t ow = g.out_width();
-  const std::size_t ps = g.patch_size();
+  float* row = out;
   for (std::size_t oy = 0; oy < oh; ++oy) {
-    for (std::size_t ox = 0; ox < ow; ++ox) {
-      float* row = out + (oy * ow + ox) * ps;
-      std::size_t idx = 0;
+    input_rows(g, oy, rows);
+    for (const ColumnRun& run : runs) {
+      const bool full = run.lo == 0 && run.hi == kw;
       for (std::size_t c = 0; c < g.in_channels; ++c) {
-        const float* chan = image + c * g.in_height * g.in_width;
-        for (std::size_t ky = 0; ky < g.kernel_h; ++ky) {
-          // Signed arithmetic for padding underflow.
-          const long long iy =
-              static_cast<long long>(oy * g.stride_h + ky) -
-              static_cast<long long>(g.pad_h);
-          for (std::size_t kx = 0; kx < g.kernel_w; ++kx, ++idx) {
-            const long long ix =
-                static_cast<long long>(ox * g.stride_w + kx) -
-                static_cast<long long>(g.pad_w);
-            if (iy < 0 || iy >= static_cast<long long>(g.in_height) ||
-                ix < 0 || ix >= static_cast<long long>(g.in_width)) {
-              row[idx] = 0.0f;
-            } else {
-              row[idx] = chan[static_cast<std::size_t>(iy) * g.in_width +
-                              static_cast<std::size_t>(ix)];
-            }
+        const float* chan = image + c * plane + run.first;
+        for (std::size_t ky = 0; ky < g.kernel_h; ++ky, row += kw) {
+          if (rows[ky] < 0) {
+            std::fill(row, row + kw, 0.0f);
+            continue;
+          }
+          const float* src = chan + rows[ky];
+          if (full) {
+            for (std::size_t kx = 0; kx < kw; ++kx) row[kx] = src[kx];
+            continue;
+          }
+          std::size_t kx = 0;
+          for (; kx < run.lo; ++kx) row[kx] = 0.0f;
+          for (; kx < run.hi; ++kx) row[kx] = src[kx - run.lo];
+          for (; kx < kw; ++kx) row[kx] = 0.0f;
+        }
+      }
+    }
+  }
+}
+
+// Same (oy, ox, c, ky, kx) nest as im2col_runs, so every input pixel sums
+// its contributions in ascending (oy, ox) order.
+template <std::size_t kFixedWidth>
+void col2im_runs(const float* columns, const ConvGeometry& g, float* image) {
+  const std::size_t kw = kFixedWidth != 0 ? kFixedWidth : g.kernel_w;
+  const std::size_t plane = g.in_height * g.in_width;
+  const std::vector<ColumnRun> runs = column_runs(g);
+  std::vector<long long> rows(g.kernel_h);
+  const std::size_t oh = g.out_height();
+  const float* row = columns;
+  for (std::size_t oy = 0; oy < oh; ++oy) {
+    input_rows(g, oy, rows);
+    for (const ColumnRun& run : runs) {
+      const bool full = run.lo == 0 && run.hi == kw;
+      for (std::size_t c = 0; c < g.in_channels; ++c) {
+        float* chan = image + c * plane + run.first;
+        for (std::size_t ky = 0; ky < g.kernel_h; ++ky, row += kw) {
+          if (rows[ky] < 0) continue;
+          float* dst = chan + rows[ky];
+          if (full) {
+            for (std::size_t kx = 0; kx < kw; ++kx) dst[kx] += row[kx];
+            continue;
+          }
+          for (std::size_t kx = run.lo; kx < run.hi; ++kx) {
+            dst[kx - run.lo] += row[kx];
           }
         }
       }
     }
+  }
+}
+
+}  // namespace
+
+void im2col(const float* image, const ConvGeometry& g, float* out) {
+  if (g.kernel_w == 5) {
+    im2col_runs<5>(image, g, out);
+  } else {
+    im2col_runs<0>(image, g, out);
   }
 }
 
@@ -81,42 +174,54 @@ Tensor col2im(const Tensor& columns, const ConvGeometry& g) {
 }
 
 void col2im(const float* columns, const ConvGeometry& g, float* image) {
-  const std::size_t oh = g.out_height();
-  const std::size_t ow = g.out_width();
-  const std::size_t ps = g.patch_size();
-  for (std::size_t oy = 0; oy < oh; ++oy) {
-    for (std::size_t ox = 0; ox < ow; ++ox) {
-      const float* row = columns + (oy * ow + ox) * ps;
-      std::size_t idx = 0;
-      for (std::size_t c = 0; c < g.in_channels; ++c) {
-        float* chan = image + c * g.in_height * g.in_width;
-        for (std::size_t ky = 0; ky < g.kernel_h; ++ky) {
-          const long long iy =
-              static_cast<long long>(oy * g.stride_h + ky) -
-              static_cast<long long>(g.pad_h);
-          for (std::size_t kx = 0; kx < g.kernel_w; ++kx, ++idx) {
-            const long long ix =
-                static_cast<long long>(ox * g.stride_w + kx) -
-                static_cast<long long>(g.pad_w);
-            if (iy >= 0 && iy < static_cast<long long>(g.in_height) &&
-                ix >= 0 && ix < static_cast<long long>(g.in_width)) {
-              chan[static_cast<std::size_t>(iy) * g.in_width +
-                   static_cast<std::size_t>(ix)] += row[idx];
-            }
-          }
+  if (g.kernel_w == 5) {
+    col2im_runs<5>(columns, g, image);
+  } else {
+    col2im_runs<0>(columns, g, image);
+  }
+}
+
+void retile(const float* src, std::size_t rows, std::size_t cols, float* dst) {
+  // 16×16 tiles, each written as contiguous runs of dst: a plain
+  // column-by-column transpose writes with a stride of `rows` floats, which
+  // at rows = 1024 (ConvNet conv1) lands every store in one cache set.
+  constexpr std::size_t kTile = 16;
+  for (std::size_t r0 = 0; r0 < rows; r0 += kTile) {
+    const std::size_t r1 = std::min(r0 + kTile, rows);
+    for (std::size_t c0 = 0; c0 < cols; c0 += kTile) {
+      const std::size_t c1 = std::min(c0 + kTile, cols);
+      for (std::size_t c = c0; c < c1; ++c) {
+        for (std::size_t r = r0; r < r1; ++r) {
+          dst[c * rows + r] = src[r * cols + c];
         }
       }
     }
   }
 }
 
-void retile(const float* src, std::size_t rows, std::size_t cols, float* dst) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    const float* row = src + r * cols;
-    for (std::size_t c = 0; c < cols; ++c) {
-      dst[c * rows + r] = row[c];
-    }
-  }
+void im2col_batch(const float* images, std::size_t batch, const ConvGeometry& g,
+                  float* out, ThreadPool& pool) {
+  const std::size_t sample = g.in_channels * g.in_height * g.in_width;
+  const std::size_t patches = g.out_height() * g.out_width() * g.patch_size();
+  pool.parallel_for(batch, [&](std::size_t b) {
+    im2col(images + b * sample, g, out + b * patches);
+  });
+}
+
+void col2im_batch(const float* columns, std::size_t batch,
+                  const ConvGeometry& g, float* images, ThreadPool& pool) {
+  const std::size_t sample = g.in_channels * g.in_height * g.in_width;
+  const std::size_t patches = g.out_height() * g.out_width() * g.patch_size();
+  pool.parallel_for(batch, [&](std::size_t b) {
+    col2im(columns + b * patches, g, images + b * sample);
+  });
+}
+
+void retile_batch(const float* src, std::size_t batch, std::size_t rows,
+                  std::size_t cols, float* dst, ThreadPool& pool) {
+  pool.parallel_for(batch, [&](std::size_t b) {
+    retile(src + b * rows * cols, rows, cols, dst + b * rows * cols);
+  });
 }
 
 }  // namespace gs

@@ -10,6 +10,8 @@
 
 namespace gs {
 
+class ThreadPool;
+
 /// Geometry of a 2-D convolution / pooling window.
 struct ConvGeometry {
   std::size_t in_channels = 0;
@@ -33,7 +35,9 @@ struct ConvGeometry {
 
 /// Lowers one image (C×H×W, rank-3) into a patch matrix of shape
 /// (out_h*out_w, patch_size); row p holds the receptive field of output
-/// position p in channel-major order. Zero padding is applied.
+/// position p in channel-major order. Zero padding is applied. Each
+/// (p, channel, ky) is one contiguous kx run, with the padding of every
+/// output column resolved once.
 Tensor im2col(const Tensor& image, const ConvGeometry& g);
 
 /// Unchecked form of the above: reads a C×H×W image from `image` and writes
@@ -49,7 +53,8 @@ Tensor col2im(const Tensor& columns, const ConvGeometry& g);
 
 /// Unchecked form of the above: adds the (out_h*out_w × patch_size) patch
 /// matrix at `columns` into the C×H×W image at `image` (+=, so a zeroed
-/// image yields exactly col2im). `g` must be valid.
+/// image yields exactly col2im). `g` must be valid. Every pixel sums its
+/// contributions in ascending output-position order.
 void col2im(const float* columns, const ConvGeometry& g, float* image);
 
 /// The re-tile around a conv GEMM: writes the row-major (rows × cols) block
@@ -58,5 +63,21 @@ void col2im(const float* columns, const ConvGeometry& g, float* image);
 /// channel-major gradient becomes the patch-major dY with rows = F. A pure
 /// copy, so every caller gets bitwise the same values.
 void retile(const float* src, std::size_t rows, std::size_t cols, float* dst);
+
+/// Batch forms, parallel over samples on `pool`; each sample owns a disjoint
+/// slice of the output, so results are bitwise those of the per-sample calls
+/// at any pool size.
+///
+/// im2col_batch lowers `batch` C×H×W images at `images` into one
+/// (batch·out_h·out_w × patch_size) patch matrix at `out`.
+void im2col_batch(const float* images, std::size_t batch, const ConvGeometry& g,
+                  float* out, ThreadPool& pool);
+/// col2im_batch adds each sample's (out_h·out_w × patch_size) rows of
+/// `columns` into its C×H×W image at `images` (+=).
+void col2im_batch(const float* columns, std::size_t batch,
+                  const ConvGeometry& g, float* images, ThreadPool& pool);
+/// retile_batch re-tiles `batch` consecutive (rows × cols) blocks.
+void retile_batch(const float* src, std::size_t batch, std::size_t rows,
+                  std::size_t cols, float* dst, ThreadPool& pool);
 
 }  // namespace gs

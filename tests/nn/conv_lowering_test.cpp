@@ -1,23 +1,30 @@
 // Differential test of the shared conv lowering (nn/matrix_layer.hpp).
 //
-// Conv2dLayer and LowRankConv2d run one per-sample shell: pointer-form
-// im2col → matrix core → bias → re-tile, and re-tile dY → core backward →
+// Conv2dLayer and LowRankConv2d run one whole-batch shell: batch im2col →
+// matrix core → bias → re-tile, and re-tile dY → core backward → batch
 // col2im. The reference below is a test-local copy of the per-sample loops
-// each layer ran before they shared that shell (an image copy, a fresh
-// im2col tensor, the layer's own GEMM calls, an inline transpose). Outputs,
-// input gradients and parameter gradients must match it BITWISE — in train
-// mode and on the compressed eval path.
+// each layer ran before (an image copy, a fresh im2col tensor, the layer's
+// own GEMM calls, an inline transpose). Outputs and input gradients must
+// match it BITWISE — in train mode, in eval mode across the eval block
+// boundary, and on the compressed eval path. Parameter gradients are one
+// product with K = B·oh·ow in the layer, so they match a batched reference
+// (one GEMM over every sample's rows) bitwise and the per-sample sums only
+// to rounding.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "linalg/compressed.hpp"
 #include "nn/conv2d.hpp"
+#include "nn/dense.hpp"
 #include "nn/lowrank.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/matrix.hpp"
@@ -54,6 +61,7 @@ struct Reference {
   ConvGeometry g;
   std::vector<Tensor> cols;
   std::vector<Tensor> hidden;
+  std::vector<Tensor> dys;
 
   // The old per-sample forward of Conv2dLayer (one matrix) and
   // LowRankConv2d (two).
@@ -109,9 +117,11 @@ struct Reference {
     const std::size_t ow = g.out_width();
     const std::size_t sample = g.in_channels * g.in_height * g.in_width;
     Tensor grad_input(Shape{batch, g.in_channels, g.in_height, g.in_width});
-    Tensor dy(Shape{oh * ow, f});
     Tensor dcols(Shape{oh * ow, g.patch_size()});
+    dys.assign(batch, Tensor());
     for (std::size_t b = 0; b < batch; ++b) {
+      Tensor& dy = dys[b];
+      dy = Tensor(Shape{oh * ow, f});
       const float* src = grad_output.data() + b * f * oh * ow;
       for (std::size_t p = 0; p < oh * ow; ++p) {
         float* row = dy.data() + p * f;
@@ -135,6 +145,35 @@ struct Reference {
                 grad_input.data() + b * sample);
     }
     return grad_input;
+  }
+
+  // The parameter gradients of the batched lowering: every sample's rows
+  // stacked into one matrix, then one dW product (K = B·oh·ow) per matrix
+  // and one sum_rows for the bias. Call after backward().
+  std::pair<std::vector<Tensor>, Tensor> batched_param_grads() const {
+    const Tensor cols_all = stack(cols);
+    const Tensor dy_all = stack(dys);
+    std::vector<Tensor> dw;
+    for (const Tensor& w : weights) dw.emplace_back(w.shape());
+    if (weights.size() == 1) {
+      gemm(cols_all, true, dy_all, false, dw[0], 1.0f, 1.0f);
+    } else {
+      gemm(stack(hidden), true, dy_all, false, dw[1], 1.0f, 1.0f);
+      const Tensor dh_all = matmul(dy_all, weights[1], false, true);
+      gemm(cols_all, true, dh_all, false, dw[0], 1.0f, 1.0f);
+    }
+    Tensor db(bias.shape());
+    db += sum_rows(dy_all);
+    return {std::move(dw), std::move(db)};
+  }
+
+  static Tensor stack(const std::vector<Tensor>& parts) {
+    std::size_t rows = 0;
+    for (const Tensor& t : parts) rows += t.rows();
+    Tensor all(Shape{rows, parts.front().cols()});
+    float* dst = all.data();
+    for (const Tensor& t : parts) dst = std::copy_n(t.data(), t.numel(), dst);
+    return all;
   }
 };
 
@@ -164,14 +203,43 @@ void delete_groups(MatrixLayer& layer) {
   }
 }
 
+/// max |a − b| over max |b|: the gap between two summation orders of the
+/// same gradient, relative to its scale.
+float relative_gap(const Tensor& a, const Tensor& b) {
+  float gap = 0.0f;
+  float scale = std::numeric_limits<float>::min();
+  for (std::size_t i = 0; i < b.numel(); ++i) {
+    gap = std::max(gap, std::fabs(a[i] - b[i]));
+    scale = std::max(scale, std::fabs(b[i]));
+  }
+  return gap / scale;
+}
+
+// Re-ordering the ≤ 432-term float sums of these shapes moves a gradient by
+// a few ulps of its largest entry; 1e-5 leaves an order of magnitude spare.
+constexpr float kSumOrderTolerance = 1e-5f;
+
+// Batch sizes that follow the eval block of the case's geometry (3×12×12
+// input, 5×5 kernel): exactly one block, and one block plus one sample.
+constexpr std::size_t kOneBlock = 0;
+constexpr std::size_t kOneBlockPlusOne =
+    std::numeric_limits<std::size_t>::max();
+
 struct Case {
   bool lowrank;
   std::size_t batch, stride, pad;
+
+  std::size_t resolved_batch() const {
+    if (batch != kOneBlock && batch != kOneBlockPlusOne) return batch;
+    const std::size_t out = (12 + 2 * pad - 5) / stride + 1;
+    const std::size_t block = MatrixLayer::kEvalPatchFloats / (out * out * 75);
+    return batch == kOneBlock ? block : block + 1;
+  }
 };
 
 void PrintTo(const Case& c, std::ostream* os) {
-  *os << (c.lowrank ? "lowrank" : "conv") << "_b" << c.batch << "_s"
-      << c.stride << "_p" << c.pad;
+  *os << (c.lowrank ? "lowrank" : "conv") << "_b" << c.resolved_batch()
+      << "_s" << c.stride << "_p" << c.pad;
 }
 
 class ConvLowering : public ::testing::TestWithParam<Case> {
@@ -187,54 +255,87 @@ class ConvLowering : public ::testing::TestWithParam<Case> {
   }
 
   Tensor input(Rng& rng) const {
-    Tensor x(Shape{GetParam().batch, 3, 12, 12});
+    Tensor x(Shape{GetParam().resolved_batch(), 3, 12, 12});
     x.fill_gaussian(rng, 0.0f, 1.0f);
     return x;
+  }
+
+  /// One train forward and backward of the layer and of the reference.
+  struct TrainStep {
+    std::unique_ptr<MatrixLayer> layer;
+    Reference ref;
+    Tensor y, y_ref, dx, dx_ref;
+  };
+
+  TrainStep train_step() const {
+    Rng rng(17);
+    TrainStep step;
+    step.layer = make_layer(rng);
+    step.layer->bias().fill_gaussian(rng, 0.0f, 0.1f);
+    step.ref = reference_of(*step.layer);
+    const Tensor x = input(rng);
+    step.y = step.layer->forward(x, /*train=*/true);
+    step.y_ref = step.ref.forward(x, true);
+    Tensor dy(step.y.shape());
+    dy.fill_gaussian(rng, 0.0f, 1.0f);
+    step.dx = step.layer->backward(dy);
+    step.dx_ref = step.ref.backward(dy);
+    return step;
+  }
+
+  void expect_eval_matches() const {
+    Rng rng(23);
+    auto layer = make_layer(rng);
+    Reference ref = reference_of(*layer);
+    const Tensor x = input(rng);
+    EXPECT_TRUE(
+        bitwise_equal(layer->forward(x, false), ref.forward(x, false)));
+  }
+
+  void expect_compressed_eval_matches() const {
+    Rng rng(29);
+    auto layer = make_layer(rng);
+    layer->bias().fill_gaussian(rng, 0.0f, 0.1f);
+    delete_groups(*layer);
+    layer->pack_compressed();
+    Reference ref = reference_of(*layer);
+    for (const Tensor& w : ref.weights) {
+      ref.panels.push_back(linalg::compress_panel(w));
+      ASSERT_FALSE(ref.panels.back().all_live());
+    }
+    const Tensor x = input(rng);
+    EXPECT_TRUE(
+        bitwise_equal(layer->forward(x, false), ref.forward(x, false)));
   }
 };
 
 TEST_P(ConvLowering, TrainForwardAndBackwardMatchPerSampleLoopsBitwise) {
-  Rng rng(17);
-  auto layer = make_layer(rng);
-  layer->bias().fill_gaussian(rng, 0.0f, 0.1f);
-  Reference ref = reference_of(*layer);
-  const Tensor x = input(rng);
+  TrainStep step = train_step();
+  EXPECT_TRUE(bitwise_equal(step.y, step.y_ref));
+  EXPECT_TRUE(bitwise_equal(step.dx, step.dx_ref));
+}
 
-  const Tensor y = layer->forward(x, /*train=*/true);
-  EXPECT_TRUE(bitwise_equal(y, ref.forward(x, true)));
-
-  Tensor dy(y.shape());
-  dy.fill_gaussian(rng, 0.0f, 1.0f);
-  EXPECT_TRUE(bitwise_equal(layer->backward(dy), ref.backward(dy)));
-  const std::vector<ParamRef> ms = layer->matrices();
+TEST_P(ConvLowering, TrainParamGradsMatchOneBatchedProductBitwise) {
+  TrainStep step = train_step();
+  const auto [batched_dw, batched_db] = step.ref.batched_param_grads();
+  const std::vector<ParamRef> ms = step.layer->matrices();
   for (std::size_t s = 0; s < ms.size(); ++s) {
-    EXPECT_TRUE(bitwise_equal(*ms[s].grad, ref.grads[s])) << ms[s].name;
+    EXPECT_TRUE(bitwise_equal(*ms[s].grad, batched_dw[s])) << ms[s].name;
+    EXPECT_LE(relative_gap(*ms[s].grad, step.ref.grads[s]),
+              kSumOrderTolerance)
+        << ms[s].name;
   }
-  const std::vector<ParamRef> params = layer->params();
-  EXPECT_TRUE(bitwise_equal(*params.back().grad, ref.bias_grad));
+  const Tensor& db = *step.layer->params().back().grad;
+  EXPECT_TRUE(bitwise_equal(db, batched_db));
+  EXPECT_LE(relative_gap(db, step.ref.bias_grad), kSumOrderTolerance);
 }
 
 TEST_P(ConvLowering, EvalForwardMatchesPerSampleLoopsBitwise) {
-  Rng rng(23);
-  auto layer = make_layer(rng);
-  Reference ref = reference_of(*layer);
-  const Tensor x = input(rng);
-  EXPECT_TRUE(bitwise_equal(layer->forward(x, false), ref.forward(x, false)));
+  expect_eval_matches();
 }
 
 TEST_P(ConvLowering, CompressedEvalMatchesPerSampleLoopsBitwise) {
-  Rng rng(29);
-  auto layer = make_layer(rng);
-  layer->bias().fill_gaussian(rng, 0.0f, 0.1f);
-  delete_groups(*layer);
-  layer->pack_compressed();
-  Reference ref = reference_of(*layer);
-  for (const Tensor& w : ref.weights) {
-    ref.panels.push_back(linalg::compress_panel(w));
-    ASSERT_FALSE(ref.panels.back().all_live());
-  }
-  const Tensor x = input(rng);
-  EXPECT_TRUE(bitwise_equal(layer->forward(x, false), ref.forward(x, false)));
+  expect_compressed_eval_matches();
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -243,6 +344,55 @@ INSTANTIATE_TEST_SUITE_P(
                       Case{false, 3, 2, 0}, Case{false, 1, 2, 2},
                       Case{true, 1, 1, 0}, Case{true, 3, 1, 2},
                       Case{true, 3, 2, 0}, Case{true, 1, 2, 2}));
+
+// Eval forwards whose batch spans several eval blocks. Train forwards lower
+// the whole batch at once, so these batches add nothing there; their
+// low-rank backward would also compare the packed GEMM kernel against the
+// per-sample reference's direct loop, which rounds a transposed product
+// differently.
+class ConvLoweringEvalBlocks : public ConvLowering {};
+
+TEST_P(ConvLoweringEvalBlocks, EvalForwardMatchesPerSampleLoopsBitwise) {
+  expect_eval_matches();
+}
+
+TEST_P(ConvLoweringEvalBlocks, CompressedEvalMatchesPerSampleLoopsBitwise) {
+  expect_compressed_eval_matches();
+}
+
+// 24 samples per eval block at s1_p2, 54 at s1_p0.
+INSTANTIATE_TEST_SUITE_P(
+    Blocks, ConvLoweringEvalBlocks,
+    ::testing::Values(Case{false, kOneBlock, 1, 2},
+                      Case{false, kOneBlockPlusOne, 1, 2},
+                      Case{false, 100, 1, 2}, Case{true, kOneBlock, 1, 0},
+                      Case{true, kOneBlockPlusOne, 1, 0},
+                      Case{true, 100, 1, 0}));
+
+// Backward frees each stage input once its dW is done (a conv layer's is the
+// whole-batch patch matrix), so a second backward needs a new train forward.
+TEST(MatrixLayerCache, BackwardConsumesTheTrainCache) {
+  Rng rng(41);
+  const Conv2dSpec spec{3, 8, 5, 1, 0};
+  std::vector<std::pair<std::unique_ptr<MatrixLayer>, Shape>> layers;
+  layers.emplace_back(std::make_unique<Conv2dLayer>("conv", spec, rng),
+                      Shape{2, 3, 12, 12});
+  layers.emplace_back(std::make_unique<LowRankConv2d>("lrc", spec, 5, rng),
+                      Shape{2, 3, 12, 12});
+  layers.emplace_back(std::make_unique<DenseLayer>("fc", 6, 4, rng),
+                      Shape{2, 6});
+  layers.emplace_back(std::make_unique<LowRankDense>("lrd", 6, 4, 2, rng),
+                      Shape{2, 6});
+  for (auto& [layer, shape] : layers) {
+    Tensor x(shape);
+    x.fill_gaussian(rng, 0.0f, 1.0f);
+    const Tensor dy(layer->forward(x, /*train=*/true).shape(), 1.0f);
+    layer->backward(dy);
+    EXPECT_THROW(layer->backward(dy), Error) << layer->name();
+    layer->forward(x, /*train=*/true);
+    EXPECT_NO_THROW(layer->backward(dy)) << layer->name();
+  }
+}
 
 }  // namespace
 }  // namespace gs::nn

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <tuple>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "tensor/matrix.hpp"
 
 namespace gs {
@@ -152,6 +155,122 @@ INSTANTIATE_TEST_SUITE_P(
                         std::size_t>(2, 9, 3, 2, 1),
         std::make_tuple<std::size_t, std::size_t, std::size_t, std::size_t,
                         std::size_t>(4, 6, 2, 2, 0)));
+
+/// Per-element reference of both lowerings: one bounds check per tap, in
+/// the (oy, ox, c, ky, kx) order of the patch matrix.
+template <typename Tap>
+void for_each_tap(const ConvGeometry& g, Tap&& tap) {
+  std::size_t idx = 0;
+  for (std::size_t oy = 0; oy < g.out_height(); ++oy) {
+    for (std::size_t ox = 0; ox < g.out_width(); ++ox) {
+      for (std::size_t c = 0; c < g.in_channels; ++c) {
+        for (std::size_t ky = 0; ky < g.kernel_h; ++ky) {
+          for (std::size_t kx = 0; kx < g.kernel_w; ++kx, ++idx) {
+            const long long iy = static_cast<long long>(oy * g.stride_h + ky) -
+                                 static_cast<long long>(g.pad_h);
+            const long long ix = static_cast<long long>(ox * g.stride_w + kx) -
+                                 static_cast<long long>(g.pad_w);
+            const bool inside =
+                iy >= 0 && iy < static_cast<long long>(g.in_height) &&
+                ix >= 0 && ix < static_cast<long long>(g.in_width);
+            const std::size_t pixel =
+                inside ? (c * g.in_height + static_cast<std::size_t>(iy)) *
+                                 g.in_width +
+                             static_cast<std::size_t>(ix)
+                       : 0;
+            tap(idx, inside, pixel);
+          }
+        }
+      }
+    }
+  }
+}
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+/// Geometries for the row-run kernels: the 5-wide kernels take the
+/// fixed-width path, the others the generic one; padding as wide as the
+/// kernel leaves whole patch columns in the border, and strides skip input
+/// columns.
+std::vector<ConvGeometry> run_geometries() {
+  std::vector<ConvGeometry> out;
+  for (const std::size_t kw : {1, 3, 5, 7}) {
+    for (const std::size_t stride : {1, 2, 3}) {
+      for (const std::size_t pad : {0, 1, 2, 5}) {
+        ConvGeometry g = simple_geometry(2, 9, 11, kw, stride, pad);
+        g.kernel_h = kw == 1 ? 2 : kw - 1;  // non-square windows too
+        g.stride_h = stride == 1 ? 2 : 1;
+        if (g.in_height + 2 * g.pad_h < g.kernel_h) continue;
+        out.push_back(g);
+      }
+    }
+  }
+  return out;
+}
+
+TEST(Im2col, RowRunKernelsMatchPerElementLoopsBitwise) {
+  Rng rng(31);
+  for (const ConvGeometry& g : run_geometries()) {
+    SCOPED_TRACE(::testing::Message()
+                 << "k" << g.kernel_h << "x" << g.kernel_w << " s"
+                 << g.stride_h << "," << g.stride_w << " p" << g.pad_w);
+    Tensor image(Shape{g.in_channels, g.in_height, g.in_width});
+    image.fill_gaussian(rng, 0.0f, 1.0f);
+    Tensor expected_cols(Shape{g.out_height() * g.out_width(), g.patch_size()});
+    for_each_tap(g, [&](std::size_t idx, bool inside, std::size_t pixel) {
+      expected_cols[idx] = inside ? image[pixel] : 0.0f;
+    });
+    EXPECT_TRUE(bitwise_equal(im2col(image, g), expected_cols));
+
+    Tensor cols(expected_cols.shape());
+    cols.fill_gaussian(rng, 0.0f, 1.0f);
+    Tensor expected_image(image.shape());
+    for_each_tap(g, [&](std::size_t idx, bool inside, std::size_t pixel) {
+      if (inside) expected_image[pixel] += cols[idx];
+    });
+    EXPECT_TRUE(bitwise_equal(col2im(cols, g), expected_image));
+  }
+}
+
+TEST(Im2col, BatchHelpersMatchPerSampleCallsBitwise) {
+  Rng rng(37);
+  ThreadPool pool(3);
+  const ConvGeometry g = simple_geometry(3, 10, 10, 5, 1, 2);
+  const std::size_t batch = 7;
+  const std::size_t sample = 3 * 10 * 10;
+  const std::size_t rows = g.out_height() * g.out_width();
+  const std::size_t patch = rows * g.patch_size();
+  Tensor images(Shape{batch, 3, 10, 10});
+  images.fill_gaussian(rng, 0.0f, 1.0f);
+
+  Tensor cols(Shape{batch * rows, g.patch_size()});
+  im2col_batch(images.data(), batch, g, cols.data(), pool);
+  Tensor back(images.shape());
+  col2im_batch(cols.data(), batch, g, back.data(), pool);
+  Tensor tiled(Shape{batch, g.patch_size(), rows});
+  retile_batch(cols.data(), batch, rows, g.patch_size(), tiled.data(), pool);
+
+  Tensor expected_cols(cols.shape());
+  Tensor expected_back(images.shape());
+  Tensor expected_tiled(tiled.shape());
+  for (std::size_t b = 0; b < batch; ++b) {
+    im2col(images.data() + b * sample, g, expected_cols.data() + b * patch);
+    col2im(cols.data() + b * patch, g, expected_back.data() + b * sample);
+    retile(cols.data() + b * patch, rows, g.patch_size(),
+           expected_tiled.data() + b * patch);
+  }
+  EXPECT_TRUE(bitwise_equal(cols, expected_cols));
+  EXPECT_TRUE(bitwise_equal(back, expected_back));
+  EXPECT_TRUE(bitwise_equal(tiled, expected_tiled));
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < g.patch_size(); ++c) {
+      ASSERT_EQ(tiled.data()[c * rows + r], cols.at(r, c));
+    }
+  }
+}
 
 TEST(Im2col, ConvViaGemmMatchesDirectConvolution) {
   // Full pipeline check: im2col + GEMM equals the textbook convolution sum.
