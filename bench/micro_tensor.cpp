@@ -1,6 +1,6 @@
-// Micro-benchmarks of the tensor layout kernels (transpose, im2col, col2im,
-// the conv re-tile) at the shapes the paper networks actually produce. GEMM
-// itself is measured by micro_gemm.
+// Micro-benchmarks of the tensor layout kernels (transpose, im2col, col2im)
+// at the shapes the paper networks actually produce. GEMM itself is
+// measured by micro_gemm.
 //
 // Emits BENCH_tensor.json (seconds plus derived throughput per case) into
 // the working directory and prints the same table to stdout — the same
@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -100,22 +99,6 @@ int main(int argc, char** argv) {
         reps);
     records.push_back(
         timed("col2im_lenet_conv2", "64x500 k5", s, cols.numel()));
-  }
-
-  // The conv re-tile of one sample's patch-major GEMM output into
-  // channel-major maps: LeNet conv1 (24×24 positions, 20 filters) and
-  // ConvNet conv1 (32×32 positions, 32 filters).
-  for (const auto& [name, rows, cols] :
-       {std::tuple{"retile_lenet_conv1", std::size_t{576}, std::size_t{20}},
-        std::tuple{"retile_convnet_conv1", std::size_t{1024},
-                   std::size_t{32}}}) {
-    const Tensor src = random_tensor(Shape{rows, cols}, 8);
-    Tensor dst(Shape{cols, rows});
-    const double s = time_median_seconds(
-        [&] { retile(src.data(), rows, cols, dst.data()); }, reps);
-    records.push_back(timed(name,
-                            std::to_string(rows) + "x" + std::to_string(cols),
-                            s, src.numel()));
   }
 
   write_bench_json("BENCH_tensor.json", "tensor", records);

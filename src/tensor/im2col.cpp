@@ -73,12 +73,10 @@ void input_rows(const ConvGeometry& g, std::size_t oy,
   }
 }
 
-// The patch loops take the kernel width as a template argument: kFixedWidth
-// is a width the compiler unrolls each run for (5, the kernel of every paper
-// network), 0 reads it from the geometry.
-template <std::size_t kFixedWidth>
-void im2col_runs(const float* image, const ConvGeometry& g, float* out) {
-  const std::size_t kw = kFixedWidth != 0 ? kFixedWidth : g.kernel_w;
+}  // namespace
+
+void im2col(const float* image, const ConvGeometry& g, float* out) {
+  const std::size_t kw = g.kernel_w;
   const std::size_t plane = g.in_height * g.in_width;
   const std::vector<ColumnRun> runs = column_runs(g);
   std::vector<long long> rows(g.kernel_h);
@@ -87,7 +85,6 @@ void im2col_runs(const float* image, const ConvGeometry& g, float* out) {
   for (std::size_t oy = 0; oy < oh; ++oy) {
     input_rows(g, oy, rows);
     for (const ColumnRun& run : runs) {
-      const bool full = run.lo == 0 && run.hi == kw;
       for (std::size_t c = 0; c < g.in_channels; ++c) {
         const float* chan = image + c * plane + run.first;
         for (std::size_t ky = 0; ky < g.kernel_h; ++ky, row += kw) {
@@ -96,10 +93,6 @@ void im2col_runs(const float* image, const ConvGeometry& g, float* out) {
             continue;
           }
           const float* src = chan + rows[ky];
-          if (full) {
-            for (std::size_t kx = 0; kx < kw; ++kx) row[kx] = src[kx];
-            continue;
-          }
           std::size_t kx = 0;
           for (; kx < run.lo; ++kx) row[kx] = 0.0f;
           for (; kx < run.hi; ++kx) row[kx] = src[kx - run.lo];
@@ -107,48 +100,6 @@ void im2col_runs(const float* image, const ConvGeometry& g, float* out) {
         }
       }
     }
-  }
-}
-
-// Same (oy, ox, c, ky, kx) nest as im2col_runs, so every input pixel sums
-// its contributions in ascending (oy, ox) order.
-template <std::size_t kFixedWidth>
-void col2im_runs(const float* columns, const ConvGeometry& g, float* image) {
-  const std::size_t kw = kFixedWidth != 0 ? kFixedWidth : g.kernel_w;
-  const std::size_t plane = g.in_height * g.in_width;
-  const std::vector<ColumnRun> runs = column_runs(g);
-  std::vector<long long> rows(g.kernel_h);
-  const std::size_t oh = g.out_height();
-  const float* row = columns;
-  for (std::size_t oy = 0; oy < oh; ++oy) {
-    input_rows(g, oy, rows);
-    for (const ColumnRun& run : runs) {
-      const bool full = run.lo == 0 && run.hi == kw;
-      for (std::size_t c = 0; c < g.in_channels; ++c) {
-        float* chan = image + c * plane + run.first;
-        for (std::size_t ky = 0; ky < g.kernel_h; ++ky, row += kw) {
-          if (rows[ky] < 0) continue;
-          float* dst = chan + rows[ky];
-          if (full) {
-            for (std::size_t kx = 0; kx < kw; ++kx) dst[kx] += row[kx];
-            continue;
-          }
-          for (std::size_t kx = run.lo; kx < run.hi; ++kx) {
-            dst[kx - run.lo] += row[kx];
-          }
-        }
-      }
-    }
-  }
-}
-
-}  // namespace
-
-void im2col(const float* image, const ConvGeometry& g, float* out) {
-  if (g.kernel_w == 5) {
-    im2col_runs<5>(image, g, out);
-  } else {
-    im2col_runs<0>(image, g, out);
   }
 }
 
@@ -173,28 +124,37 @@ Tensor col2im(const Tensor& columns, const ConvGeometry& g) {
   return image;
 }
 
+// Same (oy, ox, c, ky, kx) nest as im2col, so every input pixel sums
+// its contributions in ascending (oy, ox) order.
 void col2im(const float* columns, const ConvGeometry& g, float* image) {
-  if (g.kernel_w == 5) {
-    col2im_runs<5>(columns, g, image);
-  } else {
-    col2im_runs<0>(columns, g, image);
+  const std::size_t kw = g.kernel_w;
+  const std::size_t plane = g.in_height * g.in_width;
+  const std::vector<ColumnRun> runs = column_runs(g);
+  std::vector<long long> rows(g.kernel_h);
+  const std::size_t oh = g.out_height();
+  const float* row = columns;
+  for (std::size_t oy = 0; oy < oh; ++oy) {
+    input_rows(g, oy, rows);
+    for (const ColumnRun& run : runs) {
+      for (std::size_t c = 0; c < g.in_channels; ++c) {
+        float* chan = image + c * plane + run.first;
+        for (std::size_t ky = 0; ky < g.kernel_h; ++ky, row += kw) {
+          if (rows[ky] < 0) continue;
+          float* dst = chan + rows[ky];
+          for (std::size_t kx = run.lo; kx < run.hi; ++kx) {
+            dst[kx - run.lo] += row[kx];
+          }
+        }
+      }
+    }
   }
 }
 
 void retile(const float* src, std::size_t rows, std::size_t cols, float* dst) {
-  // 16×16 tiles, each written as contiguous runs of dst: a plain
-  // column-by-column transpose writes with a stride of `rows` floats, which
-  // at rows = 1024 (ConvNet conv1) lands every store in one cache set.
-  constexpr std::size_t kTile = 16;
-  for (std::size_t r0 = 0; r0 < rows; r0 += kTile) {
-    const std::size_t r1 = std::min(r0 + kTile, rows);
-    for (std::size_t c0 = 0; c0 < cols; c0 += kTile) {
-      const std::size_t c1 = std::min(c0 + kTile, cols);
-      for (std::size_t c = c0; c < c1; ++c) {
-        for (std::size_t r = r0; r < r1; ++r) {
-          dst[c * rows + r] = src[r * cols + c];
-        }
-      }
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* row = src + r * cols;
+    for (std::size_t c = 0; c < cols; ++c) {
+      dst[c * rows + r] = row[c];
     }
   }
 }

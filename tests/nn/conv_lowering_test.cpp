@@ -219,21 +219,26 @@ float relative_gap(const Tensor& a, const Tensor& b) {
 // a few ulps of its largest entry; 1e-5 leaves an order of magnitude spare.
 constexpr float kSumOrderTolerance = 1e-5f;
 
-// Batch sizes that follow the eval block of the case's geometry (3×12×12
-// input, 5×5 kernel): exactly one block, and one block plus one sample.
-constexpr std::size_t kOneBlock = 0;
-constexpr std::size_t kOneBlockPlusOne =
-    std::numeric_limits<std::size_t>::max();
+// The input of every case: 3 channels of 12×12.
+const Shape kSampleShape{3, 12, 12};
+
+// How a case sizes its batch: its own `batch`, or from the eval block of its
+// layer's geometry — exactly one block, or one block plus one sample.
+enum class Sizing { kFixed, kOneBlock, kOneBlockPlusOne };
 
 struct Case {
   bool lowrank;
   std::size_t batch, stride, pad;
+  Sizing sizing = Sizing::kFixed;
+
+  Conv2dSpec spec() const { return Conv2dSpec{3, 8, 5, stride, pad}; }
 
   std::size_t resolved_batch() const {
-    if (batch != kOneBlock && batch != kOneBlockPlusOne) return batch;
-    const std::size_t out = (12 + 2 * pad - 5) / stride + 1;
-    const std::size_t block = MatrixLayer::kEvalPatchFloats / (out * out * 75);
-    return batch == kOneBlock ? block : block + 1;
+    if (sizing == Sizing::kFixed) return batch;
+    const ConvGeometry g = spec().geometry(kSampleShape);
+    const std::size_t block = MatrixLayer::kEvalPatchFloats /
+                              (g.out_height() * g.out_width() * g.patch_size());
+    return sizing == Sizing::kOneBlock ? block : block + 1;
   }
 };
 
@@ -249,13 +254,15 @@ class ConvLowering : public ::testing::TestWithParam<Case> {
   // loop — both lowerings see both.
   std::unique_ptr<MatrixLayer> make_layer(Rng& rng) const {
     const Case& c = GetParam();
-    const Conv2dSpec spec{3, 8, 5, c.stride, c.pad};
+    const Conv2dSpec spec = c.spec();
     if (c.lowrank) return std::make_unique<LowRankConv2d>("lrc", spec, 5, rng);
     return std::make_unique<Conv2dLayer>("conv", spec, rng);
   }
 
   Tensor input(Rng& rng) const {
-    Tensor x(Shape{GetParam().resolved_batch(), 3, 12, 12});
+    Shape shape{GetParam().resolved_batch()};
+    shape.insert(shape.end(), kSampleShape.begin(), kSampleShape.end());
+    Tensor x(shape);
     x.fill_gaussian(rng, 0.0f, 1.0f);
     return x;
   }
@@ -363,10 +370,11 @@ TEST_P(ConvLoweringEvalBlocks, CompressedEvalMatchesPerSampleLoopsBitwise) {
 // 24 samples per eval block at s1_p2, 54 at s1_p0.
 INSTANTIATE_TEST_SUITE_P(
     Blocks, ConvLoweringEvalBlocks,
-    ::testing::Values(Case{false, kOneBlock, 1, 2},
-                      Case{false, kOneBlockPlusOne, 1, 2},
-                      Case{false, 100, 1, 2}, Case{true, kOneBlock, 1, 0},
-                      Case{true, kOneBlockPlusOne, 1, 0},
+    ::testing::Values(Case{false, 0, 1, 2, Sizing::kOneBlock},
+                      Case{false, 0, 1, 2, Sizing::kOneBlockPlusOne},
+                      Case{false, 100, 1, 2},
+                      Case{true, 0, 1, 0, Sizing::kOneBlock},
+                      Case{true, 0, 1, 0, Sizing::kOneBlockPlusOne},
                       Case{true, 100, 1, 0}));
 
 // Backward frees each stage input once its dW is done (a conv layer's is the
