@@ -172,8 +172,8 @@ void sgemm(std::size_t m, std::size_t n, std::size_t k, float alpha,
   // Shared packed-B panel for the current (jc, pc) block; rebuilt serially
   // (O(K·N) work vs the O(M·N·K) multiply) and read by every thread. Sized
   // to this product's actual panel extent and left uninitialised — pack_b
-  // zero-pads every element the micro-kernel reads — so small products just
-  // past the tiny-dispatch threshold don't pay a fixed 1 MiB memset.
+  // zero-pads every element the micro-kernel reads — so small products don't
+  // pay a fixed 1 MiB memset.
   const std::size_t b_panel_rows = std::min(k, kKC);
   const std::size_t b_panel_cols = ((std::min(n, kNC) + kNR - 1) / kNR) * kNR;
   const auto packed_b =

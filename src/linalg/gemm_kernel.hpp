@@ -20,7 +20,10 @@
 //
 // The ic loop is dispatched over ThreadPool::global(). Every (ic) index owns
 // a disjoint row-block of C and the pc loop is a barrier between K-panels, so
-// results are bitwise identical for any thread count.
+// results are bitwise identical for any thread count. Each C element sums
+// its K terms in one fixed order (KC panels, then the micro-kernel's p loop)
+// whatever m and n are, so a row's bits do not depend on the other rows of
+// the call.
 #pragma once
 
 #include <cstddef>

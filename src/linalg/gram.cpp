@@ -135,67 +135,13 @@ void gram_left(const Tensor& a, std::vector<double>& g) {
   gram_from_rows(widen(a.data(), a.numel()), a.rows(), a.cols(), a.cols(), g);
 }
 
-// Below this product volume the transpose/widen staging buffers cost more
-// than they save; run the seed-style direct loops instead.
-constexpr std::size_t kDirectGramWork = 1u << 23;
-
-void gram_direct(const Tensor& a, bool right, std::vector<double>& g) {
-  const std::size_t n = a.rows();
-  const std::size_t m = a.cols();
-  if (right) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const float* row = a.data() + i * m;
-      for (std::size_t p = 0; p < m; ++p) {
-        const double v = row[p];
-        if (v == 0.0) continue;
-        double* grow = g.data() + p * m;
-        for (std::size_t q = p; q < m; ++q) {
-          grow[q] += v * static_cast<double>(row[q]);
-        }
-      }
-    }
-  } else {
-    for (std::size_t p = 0; p < n; ++p) {
-      const float* rp = a.data() + p * m;
-      for (std::size_t q = p; q < n; ++q) {
-        g[p * n + q] = dot_float_double(rp, a.data() + q * m, m);
-      }
-    }
-  }
-}
-
 }  // namespace
-
-double dot_float_double(const float* a, const float* b, std::size_t n) {
-  std::size_t j = 0;
-  double acc = 0.0;
-#ifdef GS_GRAM_VECTOR_KERNEL
-  typedef float v8sf __attribute__((vector_size(8 * sizeof(float)),
-                                    aligned(4), may_alias));
-  v8df partial[4] = {};
-  for (; j + 32 <= n; j += 32) {
-    for (std::size_t u = 0; u < 4; ++u) {
-      const v8sf fa = *reinterpret_cast<const v8sf*>(a + j + 8 * u);
-      const v8sf fb = *reinterpret_cast<const v8sf*>(b + j + 8 * u);
-      partial[u] += __builtin_convertvector(fa, v8df) *
-                    __builtin_convertvector(fb, v8df);
-    }
-  }
-  const v8df merged = (partial[0] + partial[1]) + (partial[2] + partial[3]);
-  for (std::size_t lane = 0; lane < 8; ++lane) acc += merged[lane];
-#endif
-  for (; j < n; ++j) acc += static_cast<double>(a[j]) * b[j];
-  return acc;
-}
 
 std::vector<double> gram_double(const Tensor& a, bool right) {
   GS_CHECK(a.rank() == 2);
   const std::size_t side = right ? a.cols() : a.rows();
   std::vector<double> g(side * side, 0.0);
-  const std::size_t work = side * side * (right ? a.rows() : a.cols());
-  if (work < kDirectGramWork) {
-    gram_direct(a, right, g);
-  } else if (right) {
+  if (right) {
     gram_right(a, g);
   } else {
     gram_left(a, g);

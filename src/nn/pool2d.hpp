@@ -11,9 +11,28 @@
 
 #include "nn/layer.hpp"
 
+namespace gs {
+class ThreadPool;
+}
+
 namespace gs::nn {
 
 enum class PoolMode { kMax, kAvg };
+
+/// Ceil-mode (Caffe) pooled extent of an `in`-long axis.
+std::size_t pool_out_extent(std::size_t in, std::size_t kernel,
+                            std::size_t stride);
+
+/// Pools `batch`×`channels` row-major ih×iw planes of `input` into
+/// `output` (planes of pool_out_extent(ih)×pool_out_extent(iw)), in
+/// parallel over samples on `pool`. Max mode may record in `argmax` the
+/// in-plane index of each output's maximum (nullptr skips it); average mode
+/// divides by the full kernel², as Caffe does. Each sample writes only its
+/// own planes, so the result is bitwise that of a serial loop.
+void pool2d(const float* input, std::size_t batch, std::size_t channels,
+            std::size_t ih, std::size_t iw, PoolMode mode, std::size_t kernel,
+            std::size_t stride, float* output, std::size_t* argmax,
+            ThreadPool& pool);
 
 class Pool2dLayer final : public Layer {
  public:
@@ -37,10 +56,7 @@ class Pool2dLayer final : public Layer {
 
   // Train-forward caches for backward; eval forwards release them.
   Shape cached_input_shape_;
-  std::vector<std::size_t> argmax_;  // flat input index per output element
-
-  /// Ceil-mode output extent.
-  std::size_t out_extent(std::size_t in) const;
+  std::vector<std::size_t> argmax_;  // in-plane input index per output
 };
 
 }  // namespace gs::nn

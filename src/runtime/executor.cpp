@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <limits>
 #include <mutex>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/thread_pool.hpp"
+#include "nn/pool2d.hpp"
 #include "nn/trainer.hpp"
 #include "obs/trace.hpp"
 #include "tensor/matrix.hpp"
@@ -16,13 +16,6 @@
 namespace gs::runtime {
 
 namespace {
-
-std::size_t pool_out_extent(std::size_t in, std::size_t kernel,
-                            std::size_t stride) {
-  GS_CHECK_MSG(in >= 1, "pooling input too small");
-  if (in <= kernel) return 1;
-  return (in - kernel + stride - 1) / stride + 1;  // Caffe ceil mode
-}
 
 /// Opens a per-stage span annotated with the stage's energy-proxy counts
 /// for `rows` input vectors, priced by obs::add_stage exactly as the
@@ -318,46 +311,13 @@ Tensor Executor::run_pool(const Step& step, const Tensor& act) const {
   const std::size_t iw = act.dim(3);
   const std::size_t k = step.pool_kernel;
   const std::size_t s = step.pool_stride;
-  const std::size_t oh = pool_out_extent(ih, k, s);
-  const std::size_t ow = pool_out_extent(iw, k, s);
-  // Guard against convention drift: the windowing below must stay in step
-  // with nn::Pool2dLayer, whose output_shape fixed out_shape at compile.
-  GS_CHECK(channels == step.out_shape[0] && oh == step.out_shape[1] &&
-           ow == step.out_shape[2]);
-  const bool is_max = step.kind == Step::Kind::kMaxPool;
-
-  Tensor out = buffers_->take(Shape{batch, channels, oh, ow});
-  pool().parallel_for(batch * channels, [&](std::size_t plane) {
-    const float* in_plane = act.data() + plane * ih * iw;
-    float* out_plane = out.data() + plane * oh * ow;
-    for (std::size_t oy = 0; oy < oh; ++oy) {
-      for (std::size_t ox = 0; ox < ow; ++ox) {
-        const std::size_t y0 = oy * s;
-        const std::size_t x0 = ox * s;
-        const std::size_t y1 = std::min(y0 + k, ih);
-        const std::size_t x1 = std::min(x0 + k, iw);
-        if (is_max) {
-          float best = -std::numeric_limits<float>::infinity();
-          for (std::size_t y = y0; y < y1; ++y) {
-            for (std::size_t x = x0; x < x1; ++x) {
-              best = std::max(best, in_plane[y * iw + x]);
-            }
-          }
-          out_plane[oy * ow + ox] = best;
-        } else {
-          double sum = 0.0;
-          for (std::size_t y = y0; y < y1; ++y) {
-            for (std::size_t x = x0; x < x1; ++x) {
-              sum += in_plane[y * iw + x];
-            }
-          }
-          // Caffe divides by the nominal window size (zero padding).
-          out_plane[oy * ow + ox] =
-              static_cast<float>(sum / static_cast<double>(k * k));
-        }
-      }
-    }
-  });
+  Tensor out = buffers_->take(Shape{batch, channels,
+                                    nn::pool_out_extent(ih, k, s),
+                                    nn::pool_out_extent(iw, k, s)});
+  nn::pool2d(act.data(), batch, channels, ih, iw,
+             step.kind == Step::Kind::kMaxPool ? nn::PoolMode::kMax
+                                               : nn::PoolMode::kAvg,
+             k, s, out.data(), /*argmax=*/nullptr, pool());
   return out;
 }
 

@@ -1,10 +1,11 @@
 // Dense matrix kernels on rank-2 Tensors.
 //
-// gemm() is a thin dispatcher over linalg/gemm_kernel.hpp: tiny products run
-// a direct triple loop, larger ones the packed/cache-blocked/multithreaded
-// SGEMM. Transposed operands are handled in the kernels' packing/indexing —
-// no transposed copy is ever materialised. All kernels are checked: operand
-// ranks and inner dimensions are validated with GS_CHECK.
+// gemm() is the checked entry to linalg/gemm_kernel.hpp: every product, of
+// any size, runs the one packed/cache-blocked/multithreaded SGEMM, so a row
+// of C gets the same bits whether it is computed alone or inside a larger
+// batch. Transposed operands are handled in the kernel's packing — no
+// transposed copy is ever materialised. Operand ranks, inner dimensions, the
+// output shape and aliasing are validated with GS_CHECK.
 #pragma once
 
 #include "tensor/tensor.hpp"
@@ -20,10 +21,6 @@ void gemm(const Tensor& a, bool transpose_a, const Tensor& b, bool transpose_b,
 /// Returns op(A)*op(B) as a fresh tensor.
 Tensor matmul(const Tensor& a, const Tensor& b, bool transpose_a = false,
               bool transpose_b = false);
-
-/// y = alpha * op(A) * x + beta * y for a rank-1 x/y.
-void gemv(const Tensor& a, bool transpose_a, const Tensor& x, Tensor& y,
-          float alpha = 1.0f, float beta = 0.0f);
 
 /// Returns Aᵀ as a fresh tensor.
 Tensor transposed(const Tensor& a);

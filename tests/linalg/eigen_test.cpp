@@ -130,10 +130,9 @@ TEST_P(EigenSweep, EigenpairsSatisfyDefinition) {
   for (std::size_t j = 0; j < n; ++j) {
     Tensor v(Shape{n});
     for (std::size_t i = 0; i < n; ++i) v[i] = e.eigenvectors.at(i, j);
-    Tensor av(Shape{n});
-    gemv(a, false, v, av);
+    const Tensor av = matmul(a, v.reshaped({n, 1}));
     for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_NEAR(av[i], e.eigenvalues[j] * v[i], 2e-3)
+      EXPECT_NEAR(av.at(i, 0), e.eigenvalues[j] * v[i], 2e-3)
           << "pair " << j << " row " << i;
     }
   }

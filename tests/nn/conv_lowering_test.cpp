@@ -5,8 +5,8 @@
 // col2im. The reference below is a test-local copy of the per-sample loops
 // each layer ran before (an image copy, a fresh im2col tensor, the layer's
 // own GEMM calls, an inline transpose). Outputs and input gradients must
-// match it BITWISE — in train mode, in eval mode across the eval block
-// boundary, and on the compressed eval path. Parameter gradients are one
+// match it BITWISE — in train and eval mode, at batches on both sides of
+// the eval block boundary, and on the compressed eval path. Parameter gradients are one
 // product with K = B·oh·ow in the layer, so they match a batched reference
 // (one GEMM over every sample's rows) bitwise and the per-sample sums only
 // to rounding.
@@ -249,9 +249,8 @@ void PrintTo(const Case& c, std::ostream* os) {
 
 class ConvLowering : public ::testing::TestWithParam<Case> {
  protected:
-  // 3 channels of 12×12, 5×5 kernels, 8 filters: 144 patches × 75 × 8 at
-  // stride 1 takes the packed GEMM kernel, the strided shapes the direct
-  // loop — both lowerings see both.
+  // 3 channels of 12×12, 5×5 kernels, 8 filters: 64 to 144 patches × 75
+  // per sample, and rank 5 in the low-rank layer.
   std::unique_ptr<MatrixLayer> make_layer(Rng& rng) const {
     const Case& c = GetParam();
     const Conv2dSpec spec = c.spec();
@@ -352,24 +351,11 @@ INSTANTIATE_TEST_SUITE_P(
                       Case{true, 1, 1, 0}, Case{true, 3, 1, 2},
                       Case{true, 3, 2, 0}, Case{true, 1, 2, 2}));
 
-// Eval forwards whose batch spans several eval blocks. Train forwards lower
-// the whole batch at once, so these batches add nothing there; their
-// low-rank backward would also compare the packed GEMM kernel against the
-// per-sample reference's direct loop, which rounds a transposed product
-// differently.
-class ConvLoweringEvalBlocks : public ConvLowering {};
-
-TEST_P(ConvLoweringEvalBlocks, EvalForwardMatchesPerSampleLoopsBitwise) {
-  expect_eval_matches();
-}
-
-TEST_P(ConvLoweringEvalBlocks, CompressedEvalMatchesPerSampleLoopsBitwise) {
-  expect_compressed_eval_matches();
-}
-
+// Batches that span several eval blocks. A train forward lowers the whole
+// batch at once, so there these are just larger batches.
 // 24 samples per eval block at s1_p2, 54 at s1_p0.
 INSTANTIATE_TEST_SUITE_P(
-    Blocks, ConvLoweringEvalBlocks,
+    Blocks, ConvLowering,
     ::testing::Values(Case{false, 0, 1, 2, Sizing::kOneBlock},
                       Case{false, 0, 1, 2, Sizing::kOneBlockPlusOne},
                       Case{false, 100, 1, 2},

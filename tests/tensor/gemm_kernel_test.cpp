@@ -132,9 +132,9 @@ TEST(GemmKernel, DeterministicAcrossRepeatedCalls) {
 }
 
 TEST(GemmKernel, DispatcherMatchesKernelAcrossThreshold) {
-  // gs::gemm routes tiny products to the triple loop and big ones to the
-  // packed kernel; both must agree with the reference on either side of the
-  // dispatch threshold.
+  // gs::gemm is the checked shim over the packed kernel for every size; it
+  // must agree with the reference on either side of 32³ flops, where a
+  // separate small-product loop once took over.
   std::uint64_t seed = 500;
   for (const std::size_t side : {4u, 16u, 31u, 32u, 33u, 48u, 96u}) {
     Rng rng(seed++);

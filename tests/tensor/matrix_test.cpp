@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <tuple>
+#include <utility>
 
 #include "common/rng.hpp"
 
@@ -118,40 +121,50 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values<std::size_t>(1, 9, 36),
                        ::testing::Bool(), ::testing::Bool()));
 
-TEST(Matrix, GemvMatchesMatmul) {
-  Rng rng(3);
-  Tensor a(Shape{11, 7});
-  a.fill_gaussian(rng, 0.0f, 1.0f);
-  Tensor x(Shape{7});
-  x.fill_gaussian(rng, 0.0f, 1.0f);
-  Tensor y(Shape{11});
-  gemv(a, false, x, y);
-  Tensor xm = x.reshaped({7, 1});
-  Tensor ym = matmul(a, xm);
-  for (std::size_t i = 0; i < 11; ++i) {
-    EXPECT_NEAR(y[i], ym.at(i, 0), 1e-4f);
+// A row of op(A)·op(B) depends only on that row of op(A) and on op(B), not
+// on how many rows share the call: computing a batch in blocks of rows must
+// give one whole call's bits. The shapes put some block products at or under
+// 32³ flops and others above it, so a size-selected second kernel would show.
+TEST(Matrix, GemmRowsDoNotDependOnBatchRows) {
+  constexpr std::size_t kRows = 200;
+  const std::pair<std::size_t, std::size_t> kn_shapes[] = {
+      {5, 5}, {13, 12}, {25, 20}, {32, 32}, {50, 40}};
+  std::uint64_t seed = 70;
+  for (const auto& [k, n] : kn_shapes) {
+    for (const bool ta : {false, true}) {
+      for (const bool tb : {false, true}) {
+        Rng rng(seed++);
+        Tensor a = ta ? Tensor(Shape{k, kRows}) : Tensor(Shape{kRows, k});
+        Tensor b = tb ? Tensor(Shape{n, k}) : Tensor(Shape{k, n});
+        a.fill_gaussian(rng, 0.0f, 1.0f);
+        b.fill_gaussian(rng, 0.0f, 1.0f);
+        const Tensor whole = matmul(a, b, ta, tb);
+        for (const std::size_t block : {1u, 7u, 64u}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "k=" << k << " n=" << n << " ta=" << ta
+                       << " tb=" << tb << " block=" << block);
+          for (std::size_t r0 = 0; r0 < kRows; r0 += block) {
+            const std::size_t rows = std::min(block, kRows - r0);
+            Tensor part_a = ta ? Tensor(Shape{k, rows}) : Tensor(Shape{rows, k});
+            for (std::size_t i = 0; i < rows; ++i) {
+              for (std::size_t p = 0; p < k; ++p) {
+                if (ta) {
+                  part_a.at(p, i) = a.at(p, r0 + i);
+                } else {
+                  part_a.at(i, p) = a.at(r0 + i, p);
+                }
+              }
+            }
+            const Tensor part = matmul(part_a, b, ta, tb);
+            EXPECT_EQ(std::memcmp(part.data(), whole.data() + r0 * n,
+                                  part.numel() * sizeof(float)),
+                      0)
+                << "rows " << r0 << ".." << r0 + rows;
+          }
+        }
+      }
+    }
   }
-}
-
-TEST(Matrix, GemvTransposed) {
-  Rng rng(4);
-  Tensor a(Shape{5, 9});
-  a.fill_gaussian(rng, 0.0f, 1.0f);
-  Tensor x(Shape{5});
-  x.fill_gaussian(rng, 0.0f, 1.0f);
-  Tensor y(Shape{9});
-  gemv(a, true, x, y);
-  Tensor ref = matmul(x.reshaped({1, 5}), a);
-  for (std::size_t j = 0; j < 9; ++j) {
-    EXPECT_NEAR(y[j], ref.at(0, j), 1e-4f);
-  }
-}
-
-TEST(Matrix, GemvChecksLengths) {
-  Tensor a(Shape{3, 4});
-  Tensor x(Shape{3});
-  Tensor y(Shape{3});
-  EXPECT_THROW(gemv(a, false, x, y), Error);  // x should be length 4
 }
 
 TEST(Matrix, AddRowVectorBroadcasts) {
