@@ -170,7 +170,7 @@ std::string weights_checksum(nn::Network& net) {
   return buf;
 }
 
-double time_median_seconds(const std::function<void()>& fn, int reps) {
+Quartiles time_quartiles_seconds(const std::function<void()>& fn, int reps) {
   fn();  // warm-up: page-in, pool spin-up, cache priming
   std::vector<double> samples;
   samples.reserve(static_cast<std::size_t>(reps));
@@ -181,7 +181,12 @@ double time_median_seconds(const std::function<void()>& fn, int reps) {
     samples.push_back(std::chrono::duration<double>(stop - start).count());
   }
   std::sort(samples.begin(), samples.end());
-  return samples[samples.size() / 2];
+  const std::size_t n = samples.size();
+  return {samples[n / 4], samples[n / 2], samples[3 * n / 4]};
+}
+
+double time_median_seconds(const std::function<void()>& fn, int reps) {
+  return time_quartiles_seconds(fn, reps).median;
 }
 
 }  // namespace gs::bench

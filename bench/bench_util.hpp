@@ -92,8 +92,16 @@ void write_bench_json(const std::string& path, const std::string& bench_name,
 /// GS_NUM_THREADS=1 vs 4) can assert training determinism across processes.
 std::string weights_checksum(nn::Network& net);
 
-/// Median wall-clock seconds of fn() over `reps` timed runs (after one
-/// untimed warm-up call).
+/// Lower quartile, median and upper quartile (nearest rank) of fn()'s
+/// wall-clock seconds over `reps` timed runs, after one untimed warm-up call.
+struct Quartiles {
+  double q1 = 0.0;
+  double median = 0.0;
+  double q3 = 0.0;
+};
+Quartiles time_quartiles_seconds(const std::function<void()>& fn, int reps);
+
+/// Median of time_quartiles_seconds.
 double time_median_seconds(const std::function<void()>& fn, int reps = 5);
 
 }  // namespace gs::bench

@@ -5,8 +5,8 @@
 //
 // Emits BENCH_gemm.json (GFLOP/s and speedup per case) into the working
 // directory and prints the same table to stdout. Thread count follows
-// GS_NUM_THREADS; run with GS_NUM_THREADS=1 for the single-thread
-// comparison quoted in the README.
+// GS_NUM_THREADS; the committed file and the README table are a
+// GS_NUM_THREADS=4 run (the seed kernel is serial either way).
 #include <cstdio>
 #include <vector>
 
@@ -167,7 +167,8 @@ int main() {
   // the 512³ square is the acceptance shape; rsvd panels are tall with a
   // narrow probe block; the ta/tb cases mirror Dense/Conv backward. The
   // batch-32 fc1 rows are the small-m inference regime, and 64³ is one
-  // crossbar-sized block.
+  // crossbar-sized block. The last four are the thin products of a batch-25
+  // LeNet training step (one kMC row block, several K panels).
   const GemmCase gemm_cases[] = {
       {"square_512", "acceptance", 512, 512, 512, false, false},
       {"lenet_conv2_im2col", "im2col tall-skinny", 1600, 50, 500, false,
@@ -184,6 +185,10 @@ int main() {
       {"dense_backward_dW", "dW=Xt*dY", 800, 500, 256, true, false},
       {"dense_backward_dW_b32", "dW=Xt*dY", 32, 500, 800, true, false},
       {"dense_backward_dX", "dX=dY*Wt", 256, 800, 500, false, true},
+      {"lenet_conv1_dW_b25", "thin dW=Xt*dY", 25, 20, 14400, true, false},
+      {"lenet_fc1_b25", "thin forward", 25, 500, 800, false, false},
+      {"lenet_fc1_dX_b25", "thin dX=dY*Wt", 25, 800, 500, false, true},
+      {"lenet_conv2_lowrank_dW", "thin Vt dW", 50, 50, 1600, true, false},
   };
   for (const GemmCase& cs : gemm_cases) {
     records.push_back(run_gemm_case(cs));

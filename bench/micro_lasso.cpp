@@ -215,7 +215,8 @@ Fixture make_fixture(const Sizes& sz) {
   return fx;
 }
 
-/// Times the pair and records per-invocation seconds. `inner` divides the
+/// Times the pair and records per-invocation seconds, the median and the
+/// interquartile range of the timed calls. `inner` divides the
 /// measured wall clock: per-step cases run `inner` consecutive sweeps per
 /// timed call so the one-off fixture reset (weight restore / grad zeroing)
 /// amortises away instead of biasing the ratio toward 1×.
@@ -223,13 +224,17 @@ BenchRecord run_pair(const char* name, const char* kind,
                      const std::function<void()>& seed_fn,
                      const std::function<void()>& engine_fn, int reps,
                      int inner = 1) {
-  const double seed_s = time_median_seconds(seed_fn, reps) / inner;
-  const double engine_s = time_median_seconds(engine_fn, reps) / inner;
+  const Quartiles seed = time_quartiles_seconds(seed_fn, reps);
+  const Quartiles engine = time_quartiles_seconds(engine_fn, reps);
+  const double seed_s = seed.median / inner;
+  const double engine_s = engine.median / inner;
   BenchRecord rec;
   rec.name = name;
   rec.label("kind", kind);
   rec.metric("seed_seconds", seed_s)
+      .metric("seed_iqr_seconds", (seed.q3 - seed.q1) / inner)
       .metric("engine_seconds", engine_s)
+      .metric("engine_iqr_seconds", (engine.q3 - engine.q1) / inner)
       .metric("speedup", seed_s / engine_s);
   std::printf("%-26s %-16s seed %9.5fs  engine %9.5fs  x%.2f\n", name, kind,
               seed_s, engine_s, seed_s / engine_s);
@@ -284,7 +289,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
   const Sizes sz = smoke ? Sizes{96, 80, 8, 10, 5, 2}
-                         : Sizes{800, 500, 36, 60, 10, 5};
+                         : Sizes{800, 500, 36, 60, 10, 21};
 
   section(smoke ? "micro_lasso (smoke): GroupIndex engine vs seed scalar"
                 : "micro_lasso: GroupIndex engine vs seed scalar sweeps");

@@ -4,12 +4,14 @@
 // Key structural fact exploited throughout: every row group (i, tc) and
 // every column group (tr, j) lies inside exactly ONE crossbar tile, so the
 // tile is the natural parallel work unit. Each sweep dispatches one task
-// per tile on gs::ThreadPool; a task touches only its own tile's weights
-// and its own slots of the cached-norm tables, and accumulates in a fixed
-// sequential order — results are therefore bitwise identical at any
-// GS_NUM_THREADS. Inner loops run over contiguous row slices through raw
-// pointers (no per-element bounds checks) with unrolled double
-// accumulators.
+// per tile on gs::ThreadPool; a task touches only its own tile's weights,
+// keeps its group norms in tile-local buffers and copies them into its own
+// slots of the cached-norm tables once, at its end (the tiles of a tile row
+// own neighbouring row-table slots, which per-element updates in place
+// would make threads fight over), and accumulates in a fixed sequential
+// order — results are therefore bitwise identical at any GS_NUM_THREADS.
+// Inner loops run over contiguous row slices through raw pointers (no
+// per-element bounds checks) with unrolled double accumulators.
 //
 // The index caches one squared L2 norm per group (row table indexed
 // i·grid_cols + tc, column table tr·cols + j). add_gradient and

@@ -20,10 +20,20 @@
 //
 // The ic loop is dispatched over ThreadPool::global(). Every (ic) index owns
 // a disjoint row-block of C and the pc loop is a barrier between K-panels, so
-// results are bitwise identical for any thread count. Each C element sums
-// its K terms in one fixed order (KC panels, then the micro-kernel's p loop)
+// results are bitwise identical for any thread count.
+//
+// A product with one row block (m ≤ MC) and more than one K panel — the
+// thin products of a small-batch training step, e.g. a conv dW with
+// K = batch·positions — would leave that loop one index wide, so it runs
+// its K panels in parallel instead: each panel's MR×NR tiles land in a
+// private slot, and the slots are then written into C in panel order,
+// through the same write-back the panel loop uses. The path is chosen from
+// the shape alone, never from the pool size, and N is not split.
+//
+// Either way each C element sums its K terms in one fixed order (KC panels,
+// then the micro-kernel's p loop) and is rounded into C by one write-back,
 // whatever m and n are, so a row's bits do not depend on the other rows of
-// the call.
+// the call or on the path that computed it.
 #pragma once
 
 #include <cstddef>

@@ -125,10 +125,14 @@ INSTANTIATE_TEST_SUITE_P(
 // on how many rows share the call: computing a batch in blocks of rows must
 // give one whole call's bits. The shapes put some block products at or under
 // 32³ flops and others above it, so a size-selected second kernel would show.
+// K = 300 and 800 span several kKC panels: the 1-, 7- and 64-row blocks then
+// take the K-panel-parallel path and the 200-row call the serial panel loop,
+// so the two must round alike, with alpha and beta as well as without.
 TEST(Matrix, GemmRowsDoNotDependOnBatchRows) {
   constexpr std::size_t kRows = 200;
   const std::pair<std::size_t, std::size_t> kn_shapes[] = {
-      {5, 5}, {13, 12}, {25, 20}, {32, 32}, {50, 40}};
+      {5, 5}, {13, 12}, {25, 20}, {32, 32}, {50, 40}, {300, 20}, {800, 40}};
+  const std::pair<float, float> scalings[] = {{1.0f, 0.0f}, {0.75f, 0.5f}};
   std::uint64_t seed = 70;
   for (const auto& [k, n] : kn_shapes) {
     for (const bool ta : {false, true}) {
@@ -136,30 +140,41 @@ TEST(Matrix, GemmRowsDoNotDependOnBatchRows) {
         Rng rng(seed++);
         Tensor a = ta ? Tensor(Shape{k, kRows}) : Tensor(Shape{kRows, k});
         Tensor b = tb ? Tensor(Shape{n, k}) : Tensor(Shape{k, n});
+        Tensor c0(Shape{kRows, n});
         a.fill_gaussian(rng, 0.0f, 1.0f);
         b.fill_gaussian(rng, 0.0f, 1.0f);
-        const Tensor whole = matmul(a, b, ta, tb);
-        for (const std::size_t block : {1u, 7u, 64u}) {
-          SCOPED_TRACE(::testing::Message()
-                       << "k=" << k << " n=" << n << " ta=" << ta
-                       << " tb=" << tb << " block=" << block);
-          for (std::size_t r0 = 0; r0 < kRows; r0 += block) {
-            const std::size_t rows = std::min(block, kRows - r0);
-            Tensor part_a = ta ? Tensor(Shape{k, rows}) : Tensor(Shape{rows, k});
-            for (std::size_t i = 0; i < rows; ++i) {
-              for (std::size_t p = 0; p < k; ++p) {
-                if (ta) {
-                  part_a.at(p, i) = a.at(p, r0 + i);
-                } else {
-                  part_a.at(i, p) = a.at(r0 + i, p);
+        c0.fill_gaussian(rng, 0.0f, 1.0f);
+        for (const auto& [alpha, beta] : scalings) {
+          Tensor whole = c0;
+          gemm(a, ta, b, tb, whole, alpha, beta);
+          for (const std::size_t block : {1u, 7u, 64u}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "k=" << k << " n=" << n << " ta=" << ta
+                         << " tb=" << tb << " alpha=" << alpha
+                         << " beta=" << beta << " block=" << block);
+            for (std::size_t r0 = 0; r0 < kRows; r0 += block) {
+              const std::size_t rows = std::min(block, kRows - r0);
+              Tensor part_a =
+                  ta ? Tensor(Shape{k, rows}) : Tensor(Shape{rows, k});
+              Tensor part(Shape{rows, n});
+              for (std::size_t i = 0; i < rows; ++i) {
+                for (std::size_t p = 0; p < k; ++p) {
+                  if (ta) {
+                    part_a.at(p, i) = a.at(p, r0 + i);
+                  } else {
+                    part_a.at(i, p) = a.at(r0 + i, p);
+                  }
+                }
+                for (std::size_t j = 0; j < n; ++j) {
+                  part.at(i, j) = c0.at(r0 + i, j);
                 }
               }
+              gemm(part_a, ta, b, tb, part, alpha, beta);
+              EXPECT_EQ(std::memcmp(part.data(), whole.data() + r0 * n,
+                                    part.numel() * sizeof(float)),
+                        0)
+                  << "rows " << r0 << ".." << r0 + rows;
             }
-            const Tensor part = matmul(part_a, b, ta, tb);
-            EXPECT_EQ(std::memcmp(part.data(), whole.data() + r0 * n,
-                                  part.numel() * sizeof(float)),
-                      0)
-                << "rows " << r0 << ".." << r0 + rows;
           }
         }
       }
