@@ -49,6 +49,13 @@ class Layer {
   /// accumulates parameter gradients (+=, so callers zero them per step).
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
+  /// Backward for a layer whose input gradient nobody reads (the first
+  /// layer of a training step): accumulates the parameter gradients
+  /// backward() would and consumes its cache, but may skip dL/d(input).
+  virtual void backward_params(const Tensor& grad_output) {
+    backward(grad_output);
+  }
+
   /// Learnable parameters; empty for stateless layers.
   virtual std::vector<ParamRef> params() { return {}; }
 

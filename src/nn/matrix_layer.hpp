@@ -12,19 +12,23 @@
 // group-Lasso targets, the noise model — loops over matrices() instead of
 // asking which concrete class it holds.
 //
-// The lowering lives here once. The matrix core multiplies a row-major batch
-// through the chain (x·M0, then ·M1) and adds the bias; its backward
-// accumulates dMs += inputᵀ·d and propagates d·Msᵀ stage by stage, last
-// stage first. Fully-connected layers run the core on the (B, in) batch.
-// Conv layers run it on the whole batch too: forward im2col's every sample
-// (in parallel) into one (B·oh·ow, patch) matrix, runs the core once and
-// re-tiles the patch-major (B·oh·ow, F) result into channel-major B×F×oh×ow;
-// backward re-tiles dY into one (B·oh·ow, F) matrix, runs the core backward
-// once (dW is one product with K = B·oh·ow) and col2im's dcols into the
-// input gradient, parallel over samples. An eval forward lowers the batch
-// in blocks of at most kEvalPatchFloats patch-matrix floats, so inference
-// memory does not grow with the batch. runtime::Executor lowers conv steps
-// with the same batch helpers (tensor/im2col.hpp).
+// The lowering lives here once. The matrix core multiplies the layer input
+// through the chain (x·M0, then ·M1) with kernel::sgemm, the bias added in
+// the last product's write-back; its backward accumulates dMs += inputᵀ·d
+// and propagates d·Msᵀ stage by stage, last stage first, with db the column
+// sums of dY. Fully-connected layers run the core on the (B, in) batch with
+// plain matrix operands. Conv layers run it on the whole batch as an
+// implicit GEMM (linalg/gemm_kernel.hpp) and never build a patch matrix:
+// op(A) of the forward is a PatchSource that packs patch rows straight from
+// the B×C×H×W input, and the last product stores channel-major into the
+// B×F×oh×ow output. Backward reads dY in place as a ChannelMajorSource, dW
+// reads the cached layer input through the transposed PatchSource (one
+// product with K = B·oh·ow), and dX = dY·Wᵀ is col2im'ed into the input
+// gradient, parallel over samples. Eval forwards on a compressed layer run
+// the same products over each panel's live rows and columns. A training
+// forward caches the layer input (and a low-rank layer's middle activation)
+// for backward. runtime::Executor keeps a materialised lowering
+// (tensor/im2col.hpp) because it quantises every patch row.
 #pragma once
 
 #include <vector>
@@ -76,12 +80,11 @@ class MatrixLayer : public Layer {
   void clear_compressed();
   bool compressed() const { return !panels_.empty(); }
 
-  /// Patch-matrix floats an eval conv forward lowers at a time (1 MiB); a
-  /// train forward lowers, and keeps for backward, the whole batch.
-  static constexpr std::size_t kEvalPatchFloats = std::size_t{1} << 18;
-
   Tensor forward(const Tensor& input, bool train) final;
   Tensor backward(const Tensor& grad_output) final;
+  /// Skips the dX product (and a conv layer's col2im); parameter gradients
+  /// are bitwise those of backward().
+  void backward_params(const Tensor& grad_output) final;
   std::string name() const final { return name_; }
   Shape output_shape(const Shape& input_shape) const final;
 
@@ -92,15 +95,7 @@ class MatrixLayer : public Layer {
   ParamRef bias_param() { return {&bias_, &bias_grad_, name_ + ".bias"}; }
 
  private:
-  /// Matrix core: x·M0(·M1) + bias. A train forward appends every stage
-  /// input after the first to cache_ (the caller caches x itself).
-  Tensor chain_forward(const std::vector<ParamRef>& ms, const Tensor& x,
-                       bool train);
-  /// Core backward: db += Σ rows d, then per stage (last first)
-  /// dMs += inputs[s]ᵀ·d and d = d·Msᵀ; returns d(x). Consumes the stage
-  /// inputs (the train cache), releasing each once its dMs is done.
-  Tensor chain_backward(const std::vector<ParamRef>& ms, const Tensor& dy,
-                        std::vector<Tensor> inputs);
+  Tensor backward_impl(const Tensor& grad_output, bool input_grad);
 
   std::string name_;
   Tensor bias_;  // (out)
@@ -108,9 +103,8 @@ class MatrixLayer : public Layer {
   std::vector<linalg::CompressedPanel> panels_;  // eval-only, one per matrix
 
   // Train-forward caches for backward; eval forwards release them and
-  // backward consumes them. cache_ holds the stage inputs of the whole
-  // batch: the (B, in) input or the (B·oh·ow, patch) patch matrix, then the
-  // low-rank middle activation.
+  // backward consumes them: the layer input, then a low-rank layer's middle
+  // activation.
   std::vector<Tensor> cache_;
   ConvGeometry geometry_;  // conv layers: geometry of the last forward
 };

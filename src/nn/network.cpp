@@ -23,13 +23,19 @@ Tensor Network::forward(const Tensor& input, bool train) {
   return x;
 }
 
-Tensor Network::backward(const Tensor& grad_logits) {
+Tensor Network::backward_to_first(const Tensor& grad_logits) {
   GS_CHECK(!layers_.empty());
   Tensor g = grad_logits;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->backward(g);
-  }
+  for (std::size_t i = layers_.size(); i-- > 1;) g = layers_[i]->backward(g);
   return g;
+}
+
+Tensor Network::backward(const Tensor& grad_logits) {
+  return layers_.front()->backward(backward_to_first(grad_logits));
+}
+
+void Network::backward_params(const Tensor& grad_logits) {
+  layers_.front()->backward_params(backward_to_first(grad_logits));
 }
 
 std::vector<ParamRef> Network::params() {

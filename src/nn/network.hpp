@@ -54,6 +54,11 @@ class Network {
   /// Backward pass (reverse layer order); returns dL/d(network input).
   Tensor backward(const Tensor& grad_logits);
 
+  /// The backward pass of a training step: the same parameter gradients as
+  /// backward(), without dL/d(network input) (the first layer runs
+  /// Layer::backward_params).
+  void backward_params(const Tensor& grad_logits);
+
   /// All learnable parameters, in layer order.
   std::vector<ParamRef> params();
 
@@ -81,6 +86,10 @@ class Network {
   ForwardHook* forward_hook() const { return forward_hook_; }
 
  private:
+  /// Runs backward through every layer but the first; returns the first
+  /// layer's output gradient.
+  Tensor backward_to_first(const Tensor& grad_logits);
+
   std::vector<std::unique_ptr<Layer>> layers_;
   ForwardHook* forward_hook_ = nullptr;
 };

@@ -17,7 +17,7 @@ StepStats train_step(Network& net, SgdOptimizer& opt, const data::Batch& batch,
   GS_CHECK_MSG(std::isfinite(loss.loss),
                "training diverged (non-finite loss) — lower the learning "
                "rate or regularisation strength");
-  net.backward(loss.grad_logits);
+  net.backward_params(loss.grad_logits);
   if (regularizer) {
     regularizer(net);
   }

@@ -42,6 +42,12 @@
 // single-sample execution agree exactly); ADC full scale is the no-overload
 // bound x_max · w_max · P for a P-row library tile — the padded geometry,
 // also on a repacked tile.
+//
+// Conv steps keep the materialised lowering (im2col_batch → stages →
+// re-tile, tensor/im2col.hpp), not the implicit GEMM of nn::MatrixLayer:
+// the DAC front-end scales each patch row by its own max |x| and quantises
+// it before any tile reads it, and the tiles then read slices of those
+// quantised rows, so every patch row is written out once per step anyway.
 #pragma once
 
 #include <cstddef>

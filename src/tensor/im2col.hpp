@@ -1,9 +1,13 @@
 // im2col / col2im lowering for convolution.
 //
-// Convolutions in gs::nn are computed as GEMMs over im2col patch matrices —
-// the same lowering Caffe (the paper's training stack) uses, and the lowering
-// that defines the "unrolled" (C·kh·kw × F) weight-matrix view that the
-// crossbar mapper consumes.
+// Convolutions are computed as GEMMs over im2col patch matrices — the same
+// lowering Caffe (the paper's training stack) uses, and the lowering that
+// defines the "unrolled" (C·kh·kw × F) weight-matrix view that the crossbar
+// mapper consumes. gs::nn never materialises the patch matrix: its GEMMs
+// pack patch rows straight from the images (kernel::PatchSource,
+// linalg/gemm_kernel.hpp) and only col2im runs here. runtime::Executor,
+// which quantises every patch row, lowers with im2col_batch and re-tiles
+// with retile_batch.
 #pragma once
 
 #include "tensor/tensor.hpp"

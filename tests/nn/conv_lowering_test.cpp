@@ -1,15 +1,17 @@
 // Differential test of the shared conv lowering (nn/matrix_layer.hpp).
 //
-// Conv2dLayer and LowRankConv2d run one whole-batch shell: batch im2col →
-// matrix core → bias → re-tile, and re-tile dY → core backward → batch
-// col2im. The reference below is a test-local copy of the per-sample loops
-// each layer ran before (an image copy, a fresh im2col tensor, the layer's
-// own GEMM calls, an inline transpose). Outputs and input gradients must
-// match it BITWISE — in train and eval mode, at batches on both sides of
-// the eval block boundary, and on the compressed eval path. Parameter gradients are one
-// product with K = B·oh·ow in the layer, so they match a batched reference
-// (one GEMM over every sample's rows) bitwise and the per-sample sums only
-// to rounding.
+// Conv2dLayer and LowRankConv2d run one whole-batch implicit GEMM: the
+// patch source packs patch rows straight from the input, the store writes
+// the channel-major output with the bias, and backward reads dY in place.
+// The reference below is a test-local copy of the per-sample loops each
+// layer ran before (an image copy, a fresh im2col tensor, the layer's own
+// GEMM calls, an inline transpose). Outputs and input gradients must match
+// it BITWISE — in train and eval mode, at batches 1 to 100, with padding
+// and stride 2, with a patch longer than one K panel (LeNet conv2, 500), and
+// on the compressed eval path. Parameter gradients are one product with
+// K = B·oh·ow in the layer, so they match a batched reference (one GEMM over
+// every sample's materialised rows) bitwise and the per-sample sums only to
+// rounding.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -215,52 +217,59 @@ float relative_gap(const Tensor& a, const Tensor& b) {
   return gap / scale;
 }
 
-// Re-ordering the ≤ 432-term float sums of these shapes moves a gradient by
-// a few ulps of its largest entry; 1e-5 leaves an order of magnitude spare.
+// Re-ordering the float sums of these shapes moves a gradient by a few ulps
+// of its largest entry; 1e-5 leaves an order of magnitude spare.
 constexpr float kSumOrderTolerance = 1e-5f;
 
-// The input of every case: 3 channels of 12×12.
-const Shape kSampleShape{3, 12, 12};
+/// The convolution of a case: its input channels and square size, filter
+/// count, and the rank of its low-rank form.
+struct ConvShape {
+  const char* name;
+  std::size_t channels, size, filters, rank;
+};
 
-// How a case sizes its batch: its own `batch`, or from the eval block of its
-// layer's geometry — exactly one block, or one block plus one sample.
-enum class Sizing { kFixed, kOneBlock, kOneBlockPlusOne };
+// 3 channels of 12×12, 5×5 kernels, 8 filters: 64 to 144 patches × 75 per
+// sample, and rank 5 in the low-rank layer.
+constexpr ConvShape kSmall{nullptr, 3, 12, 8, 5};
+// LeNet conv2: patch 20·5·5 = 500 spans two K panels (kKC = 256).
+constexpr ConvShape kLeNetConv2{"lenet_conv2", 20, 12, 50, 12};
+// ConvNet conv1: 32 filters over 3×32×32 with a 2-pixel pad.
+constexpr ConvShape kConvNetConv1{"convnet_conv1", 3, 32, 32, 5};
 
 struct Case {
   bool lowrank;
   std::size_t batch, stride, pad;
-  Sizing sizing = Sizing::kFixed;
+  const ConvShape* shape = &kSmall;
 
-  Conv2dSpec spec() const { return Conv2dSpec{3, 8, 5, stride, pad}; }
-
-  std::size_t resolved_batch() const {
-    if (sizing == Sizing::kFixed) return batch;
-    const ConvGeometry g = spec().geometry(kSampleShape);
-    const std::size_t block = MatrixLayer::kEvalPatchFloats /
-                              (g.out_height() * g.out_width() * g.patch_size());
-    return sizing == Sizing::kOneBlock ? block : block + 1;
+  Conv2dSpec spec() const {
+    return Conv2dSpec{shape->channels, shape->filters, 5, stride, pad};
+  }
+  Shape sample_shape() const {
+    return {shape->channels, shape->size, shape->size};
   }
 };
 
 void PrintTo(const Case& c, std::ostream* os) {
-  *os << (c.lowrank ? "lowrank" : "conv") << "_b" << c.resolved_batch()
-      << "_s" << c.stride << "_p" << c.pad;
+  if (c.shape->name != nullptr) *os << c.shape->name << "_";
+  *os << (c.lowrank ? "lowrank" : "conv") << "_b" << c.batch << "_s"
+      << c.stride << "_p" << c.pad;
 }
 
 class ConvLowering : public ::testing::TestWithParam<Case> {
  protected:
-  // 3 channels of 12×12, 5×5 kernels, 8 filters: 64 to 144 patches × 75
-  // per sample, and rank 5 in the low-rank layer.
   std::unique_ptr<MatrixLayer> make_layer(Rng& rng) const {
     const Case& c = GetParam();
     const Conv2dSpec spec = c.spec();
-    if (c.lowrank) return std::make_unique<LowRankConv2d>("lrc", spec, 5, rng);
+    if (c.lowrank) {
+      return std::make_unique<LowRankConv2d>("lrc", spec, c.shape->rank, rng);
+    }
     return std::make_unique<Conv2dLayer>("conv", spec, rng);
   }
 
   Tensor input(Rng& rng) const {
-    Shape shape{GetParam().resolved_batch()};
-    shape.insert(shape.end(), kSampleShape.begin(), kSampleShape.end());
+    Shape shape{GetParam().batch};
+    const Shape sample = GetParam().sample_shape();
+    shape.insert(shape.end(), sample.begin(), sample.end());
     Tensor x(shape);
     x.fill_gaussian(rng, 0.0f, 1.0f);
     return x;
@@ -351,20 +360,32 @@ INSTANTIATE_TEST_SUITE_P(
                       Case{true, 1, 1, 0}, Case{true, 3, 1, 2},
                       Case{true, 3, 2, 0}, Case{true, 1, 2, 2}));
 
-// Batches that span several eval blocks. A train forward lowers the whole
-// batch at once, so there these are just larger batches.
-// 24 samples per eval block at s1_p2, 54 at s1_p0.
+// Large batches: many GEMM row blocks, and K = B·oh·ow panels for dW.
 INSTANTIATE_TEST_SUITE_P(
     Blocks, ConvLowering,
-    ::testing::Values(Case{false, 0, 1, 2, Sizing::kOneBlock},
-                      Case{false, 0, 1, 2, Sizing::kOneBlockPlusOne},
-                      Case{false, 100, 1, 2},
-                      Case{true, 0, 1, 0, Sizing::kOneBlock},
-                      Case{true, 0, 1, 0, Sizing::kOneBlockPlusOne},
-                      Case{true, 100, 1, 0}));
+    ::testing::Values(Case{false, 24, 1, 2}, Case{false, 25, 1, 2},
+                      Case{false, 100, 1, 2}, Case{true, 54, 1, 0},
+                      Case{true, 55, 1, 0}, Case{true, 100, 1, 0}));
 
-// Backward frees each stage input once its dW is done (a conv layer's is the
-// whole-batch patch matrix), so a second backward needs a new train forward.
+// The network layers at their training and serving batches. LeNet conv2's
+// 500-long patch takes two K panels: at batch 1 (64 rows) the forward runs
+// the K-panel path, at 7 and 25 the panel loop, and dW (m = 500) the panel
+// loop; at stride 2 each sample has 4×4 positions. ConvNet conv1 pads by 2.
+INSTANTIATE_TEST_SUITE_P(
+    Networks, ConvLowering,
+    ::testing::Values(Case{false, 1, 1, 0, &kLeNetConv2},
+                      Case{false, 7, 1, 0, &kLeNetConv2},
+                      Case{false, 25, 1, 0, &kLeNetConv2},
+                      Case{true, 1, 1, 0, &kLeNetConv2},
+                      Case{true, 25, 1, 0, &kLeNetConv2},
+                      Case{false, 7, 2, 0, &kLeNetConv2},
+                      Case{false, 7, 1, 2, &kConvNetConv1},
+                      Case{false, 32, 1, 2, &kConvNetConv1},
+                      Case{true, 32, 1, 2, &kConvNetConv1}));
+
+// Backward consumes the train cache (the layer input and a low-rank
+// layer's middle activation), so a second backward needs a new train
+// forward.
 TEST(MatrixLayerCache, BackwardConsumesTheTrainCache) {
   Rng rng(41);
   const Conv2dSpec spec{3, 8, 5, 1, 0};

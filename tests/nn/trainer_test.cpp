@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 
 #include "data/synthetic_mnist.hpp"
 #include "nn/activations.hpp"
+#include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
+#include "nn/lowrank.hpp"
+#include "nn/softmax.hpp"
 
 namespace gs::nn {
 namespace {
@@ -122,6 +126,58 @@ TEST(Trainer, ZeroIterationsIsNoop) {
   const TrainStats stats = train(net, opt, batcher, 0);
   EXPECT_EQ(stats.iterations, 0u);
   EXPECT_EQ(stats.mean_loss, 0.0);
+}
+
+// train_step skips the first layer's input gradient (Network::
+// backward_params): the parameter gradients and the weights after the SGD
+// update must be bitwise those of a step that runs the full backward. The
+// nets start with a conv, a low-rank conv and a flatten (a layer with no
+// parameters, which keeps the full backward).
+TEST(Trainer, SkippedInputGradientLeavesGradsAndWeightsBitwise) {
+  const auto conv_net = [](int first, Rng& rng) {
+    Network net;
+    const Conv2dSpec spec{1, 6, 5, 1, 2};
+    if (first == 0) {
+      net.add(std::make_unique<Conv2dLayer>("conv1", spec, rng));
+    } else {
+      net.add(std::make_unique<LowRankConv2d>("conv1", spec, 3, rng));
+    }
+    net.add(std::make_unique<ReluLayer>("relu"));
+    net.add(std::make_unique<FlattenLayer>("flatten"));
+    net.add(std::make_unique<DenseLayer>("fc", 6 * 28 * 28, 10, rng));
+    return net;
+  };
+  data::SyntheticMnist ds(5, 64);
+  for (int first = 0; first < 3; ++first) {
+    const auto build = [&] {
+      Rng rng(9);
+      return first == 2 ? tiny_mlp(rng) : conv_net(first, rng);
+    };
+    Network skipped = build();
+    Network full = build();
+    const data::Batch batch = data::Batcher(ds, 7, Rng(3)).next();
+    SgdOptimizer opt_skipped({0.05f, 0.9f, 1e-4f});
+    SgdOptimizer opt_full({0.05f, 0.9f, 1e-4f});
+    train_step(skipped, opt_skipped, batch);
+
+    full.zero_grads();
+    const Tensor logits = full.forward(batch.images, /*train=*/true);
+    const Tensor dx =
+        full.backward(softmax_cross_entropy(logits, batch.labels).grad_logits);
+    EXPECT_EQ(dx.shape(), batch.images.shape());
+    opt_full.step(full.params());
+
+    const std::vector<ParamRef> a = skipped.params();
+    const std::vector<ParamRef> b = full.params();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      const std::size_t bytes = a[i].value->numel() * sizeof(float);
+      EXPECT_EQ(std::memcmp(a[i].grad->data(), b[i].grad->data(), bytes), 0)
+          << first << " " << a[i].name;
+      EXPECT_EQ(std::memcmp(a[i].value->data(), b[i].value->data(), bytes), 0)
+          << first << " " << a[i].name;
+    }
+  }
 }
 
 }  // namespace

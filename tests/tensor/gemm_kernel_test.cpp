@@ -1,16 +1,21 @@
 // Randomized cross-checks of the packed/blocked SGEMM against a naive
 // double-accumulation reference: shapes straddling and not dividing the
 // MC/KC/NC/MR/NR block sizes, all four transpose combinations, and the
-// alpha/beta fold-in paths.
+// alpha/beta fold-in paths; and bitwise checks that the operand sources and
+// stores give exactly the products of the materialised matrices.
 #include "linalg/gemm_kernel.hpp"
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstring>
 #include <limits>
+#include <ostream>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
+#include "tensor/im2col.hpp"
 #include "tensor/matrix.hpp"
 #include "tensor/tensor.hpp"
 
@@ -158,6 +163,190 @@ TEST(GemmKernel, RandomizedStressSweep) {
     check_case(m, n, k, ta, tb, 1.0f, 0.0f, 1000 + trial);
   }
 }
+
+// ---- Sources and stores -----------------------------------------------------
+// A product fed from a PatchSource or ChannelMajorSource, or stored
+// channel-major with a bias, must equal the same product over materialised
+// operands — im2col rows, re-tiled dY, a row-major C then add_row_vector and
+// a re-tile — bit for bit. The filter counts put n off the 16-column tile
+// grid and the row counts put m off the 8-row grid; the shapes cover the
+// panel loop and the K-panel path (m ≤ kMC, k > kKC) for each product.
+
+using kernel::ChannelMajorSource;
+using kernel::ChannelMajorStore;
+using kernel::MatrixSource;
+using kernel::PatchSource;
+using kernel::RowMajorStore;
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.numel() == b.numel() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+struct SourceCase {
+  std::size_t batch, channels, size, kernel, stride, pad, filters;
+
+  ConvGeometry geometry() const {
+    ConvGeometry g;
+    g.in_channels = channels;
+    g.in_height = g.in_width = size;
+    g.kernel_h = g.kernel_w = kernel;
+    g.stride_h = g.stride_w = stride;
+    g.pad_h = g.pad_w = pad;
+    return g;
+  }
+};
+
+void PrintTo(const SourceCase& c, std::ostream* os) {
+  *os << "b" << c.batch << "_c" << c.channels << "_" << c.size << "_k"
+      << c.kernel << "_s" << c.stride << "_p" << c.pad << "_f" << c.filters;
+}
+
+/// One case's operands: images, their im2col rows, a weight matrix, a
+/// bias, a channel-major dY and its re-tiled (rows × F) form.
+struct SourceOperands {
+  ConvGeometry g;
+  std::size_t batch, positions, rows, patch, filters;
+  Tensor images, cols, w, bias, dy, dy_rows;
+
+  explicit SourceOperands(const SourceCase& c)
+      : g(c.geometry()),
+        batch(c.batch),
+        positions(g.out_height() * g.out_width()),
+        rows(c.batch * positions),
+        patch(g.patch_size()),
+        filters(c.filters) {
+    Rng rng(c.batch * 131 + c.size * 7 + c.filters);
+    images = Tensor(Shape{batch, c.channels, c.size, c.size});
+    images.fill_gaussian(rng, 0.0f, 1.0f);
+    cols = Tensor(Shape{rows, patch});
+    im2col_batch(images.data(), batch, g, cols.data(), ThreadPool::global());
+    w = random_matrix(patch, filters, rng);
+    bias = Tensor(Shape{filters});
+    bias.fill_gaussian(rng, 0.0f, 1.0f);
+    dy = Tensor(Shape{batch, filters, positions});
+    dy.fill_gaussian(rng, 0.0f, 1.0f);
+    dy_rows = Tensor(Shape{rows, filters});
+    retile_batch(dy.data(), batch, filters, positions, dy_rows.data(),
+                 ThreadPool::global());
+  }
+};
+
+class GemmSources : public ::testing::TestWithParam<SourceCase> {};
+
+TEST_P(GemmSources, PatchSourceForwardMatchesIm2colRowsBitwise) {
+  const SourceOperands o(GetParam());
+  Tensor expected(Shape{o.rows, o.filters});
+  kernel::sgemm(o.rows, o.filters, o.patch, 1.0f,
+                MatrixSource{o.cols.data(), o.patch},
+                MatrixSource{o.w.data(), o.filters}, 0.0f,
+                RowMajorStore{expected.data(), o.filters});
+  Tensor got(Shape{o.rows, o.filters});
+  kernel::sgemm(o.rows, o.filters, o.patch, 1.0f,
+                PatchSource(o.images.data(), o.g),
+                MatrixSource{o.w.data(), o.filters}, 0.0f,
+                RowMajorStore{got.data(), o.filters});
+  EXPECT_TRUE(bitwise_equal(got, expected));
+
+  // Channel-major with the bias: the old bias pass and re-tile.
+  add_row_vector(expected, o.bias);
+  Tensor tiled(Shape{o.batch, o.filters, o.positions});
+  retile_batch(expected.data(), o.batch, o.positions, o.filters, tiled.data(),
+               ThreadPool::global());
+  Tensor out(Shape{o.batch, o.filters, o.positions});
+  kernel::sgemm(o.rows, o.filters, o.patch, 1.0f,
+                PatchSource(o.images.data(), o.g),
+                MatrixSource{o.w.data(), o.filters}, 0.0f,
+                ChannelMajorStore{out.data(), o.positions, o.filters,
+                                  o.bias.data()});
+  EXPECT_TRUE(bitwise_equal(out, tiled));
+}
+
+TEST_P(GemmSources, BackwardSourcesMatchMaterialisedOperandsBitwise) {
+  const SourceOperands o(GetParam());
+  // dW += colsᵀ·dY onto a non-zero gradient (beta = 1).
+  Rng rng(5);
+  const Tensor grad0 = random_matrix(o.patch, o.filters, rng);
+  Tensor expected = grad0;
+  kernel::sgemm(o.patch, o.filters, o.rows, 1.0f,
+                MatrixSource{o.cols.data(), o.patch, true},
+                MatrixSource{o.dy_rows.data(), o.filters}, 1.0f,
+                RowMajorStore{expected.data(), o.filters});
+  Tensor got = grad0;
+  kernel::sgemm(o.patch, o.filters, o.rows, 1.0f,
+                PatchSource(o.images.data(), o.g, true),
+                ChannelMajorSource{o.dy.data(), o.positions, o.filters}, 1.0f,
+                RowMajorStore{got.data(), o.filters});
+  EXPECT_TRUE(bitwise_equal(got, expected)) << "dW";
+
+  // dcols = dY·Wᵀ.
+  Tensor dcols(Shape{o.rows, o.patch});
+  kernel::sgemm(o.rows, o.patch, o.filters, 1.0f,
+                MatrixSource{o.dy_rows.data(), o.filters},
+                MatrixSource{o.w.data(), o.filters, true}, 0.0f,
+                RowMajorStore{dcols.data(), o.patch});
+  Tensor dcols_src(Shape{o.rows, o.patch});
+  kernel::sgemm(o.rows, o.patch, o.filters, 1.0f,
+                ChannelMajorSource{o.dy.data(), o.positions, o.filters},
+                MatrixSource{o.w.data(), o.filters, true}, 0.0f,
+                RowMajorStore{dcols_src.data(), o.patch});
+  EXPECT_TRUE(bitwise_equal(dcols_src, dcols)) << "dX";
+}
+
+TEST_P(GemmSources, LiveTapsAndColumnStoreMatchGatherScatterBitwise) {
+  const SourceOperands o(GetParam());
+  // Every third tap and every second output column are live.
+  std::vector<std::uint32_t> taps;
+  for (std::uint32_t q = 0; q < o.patch; q += 3) taps.push_back(q);
+  std::vector<std::uint32_t> cols;
+  for (std::uint32_t j = 0; j < o.filters; j += 2) cols.push_back(j);
+  Tensor gathered(Shape{o.rows, taps.size()});
+  for (std::size_t r = 0; r < o.rows; ++r) {
+    for (std::size_t q = 0; q < taps.size(); ++q) {
+      gathered.at(r, q) = o.cols.at(r, taps[q]);
+    }
+  }
+  const Tensor packed(Shape{taps.size(), cols.size()}, 0.5f);
+  Tensor product(Shape{o.rows, cols.size()});
+  kernel::sgemm(o.rows, cols.size(), taps.size(), 1.0f,
+                MatrixSource{gathered.data(), taps.size()},
+                MatrixSource{packed.data(), cols.size()}, 0.0f,
+                RowMajorStore{product.data(), cols.size()});
+  Tensor expected(Shape{o.rows, o.filters});
+  for (std::size_t r = 0; r < o.rows; ++r) {
+    for (std::size_t j = 0; j < cols.size(); ++j) {
+      expected.at(r, cols[j]) = product.at(r, j) + o.bias[cols[j]];
+    }
+  }
+  Tensor from_rows(Shape{o.rows, o.filters});
+  kernel::sgemm(o.rows, cols.size(), taps.size(), 1.0f,
+                MatrixSource{o.cols.data(), o.patch, false, taps.data()},
+                MatrixSource{packed.data(), cols.size()}, 0.0f,
+                RowMajorStore{from_rows.data(), o.filters, o.bias.data(),
+                              cols.data()});
+  EXPECT_TRUE(bitwise_equal(from_rows, expected)) << "live K rows";
+  Tensor from_images(Shape{o.rows, o.filters});
+  kernel::sgemm(o.rows, cols.size(), taps.size(), 1.0f,
+                PatchSource(o.images.data(), o.g, false, &taps),
+                MatrixSource{packed.data(), cols.size()}, 0.0f,
+                RowMajorStore{from_images.data(), o.filters, o.bias.data(),
+                              cols.data()});
+  EXPECT_TRUE(bitwise_equal(from_images, expected)) << "live taps";
+}
+
+// {batch, channels, size, kernel, stride, pad, filters}:
+//  - 243 rows × 75 taps, pad 2: the panel loop everywhere;
+//  - 18 rows × 300 taps, stride 2: the forward on the K-panel path;
+//  - 320 rows × 300 taps, pad 1: two K panels in the panel loop, dW too;
+//  - 484 rows × 18 taps, pad 1: dW on the K-panel path;
+//  - 49 rows × 500 taps: LeNet conv2's patch, every product one row block.
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, GemmSources,
+    ::testing::Values(SourceCase{3, 3, 9, 5, 1, 2, 13},
+                      SourceCase{2, 12, 9, 5, 2, 0, 13},
+                      SourceCase{5, 12, 10, 5, 1, 1, 21},
+                      SourceCase{4, 2, 11, 3, 1, 1, 5},
+                      SourceCase{1, 20, 11, 5, 1, 0, 50}));
 
 }  // namespace
 }  // namespace gs

@@ -5,9 +5,9 @@
 // adds the wire census read from the cached group norms.
 //
 // The output must not depend on the thread-pool size: every parallel loop
-// behind a training step (batch im2col/col2im, the GEMM row blocks and K
-// panels, pooling planes, the group-norm tile sweeps) gives each index a
-// disjoint output. pool_size_invariance.cmake runs this program under
+// behind a training step (the GEMM row blocks and K panels, whose conv
+// operands are packed straight from the images, batch col2im, pooling
+// planes, the group-norm tile sweeps) gives each index a disjoint output. pool_size_invariance.cmake runs this program under
 // GS_NUM_THREADS=1 and =4 and compares the lines.
 #include <cstdint>
 #include <cstdio>
