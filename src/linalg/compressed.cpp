@@ -4,7 +4,7 @@
 #include <cstring>
 
 #include "common/check.hpp"
-#include "tensor/matrix.hpp"
+#include "linalg/gemm_kernel.hpp"
 
 namespace gs::linalg {
 
@@ -50,47 +50,20 @@ void compressed_gemm(const Tensor& x, const CompressedPanel& panel,
   GS_CHECK(x.rank() == 2 && x.cols() == panel.rows);
   GS_CHECK(out.rank() == 2 && out.rows() == x.rows() &&
            out.cols() == panel.cols);
-  const std::size_t batch = x.rows();
-
-  if (panel.empty()) {
-    out.set_zero();
-    return;
-  }
-  if (panel.all_live()) {
-    // Nothing removed: plain dense product through the packed kernel,
-    // bitwise identical to gemm against the original matrix.
-    gemm(x, /*transpose_a=*/false, panel.packed, /*transpose_b=*/false, out);
-    return;
-  }
-
-  const std::size_t lr = panel.live_rows();
-  const std::size_t lc = panel.live_cols();
-
-  // Gather the live input columns into a contiguous (batch, live_rows)
-  // operand. Fixed-order copies — partition-independent, so no result
-  // depends on how the GEMM below blocks its rows.
-  Tensor gathered(Shape{batch, lr});
-  for (std::size_t r = 0; r < batch; ++r) {
-    const float* src = x.data() + r * panel.rows;
-    float* dst = gathered.data() + r * lr;
-    for (std::size_t ii = 0; ii < lr; ++ii) {
-      dst[ii] = src[panel.row_map[ii]];
-    }
-  }
-
-  Tensor product(Shape{batch, lc});
-  gemm(gathered, /*transpose_a=*/false, panel.packed, /*transpose_b=*/false,
-       product);
-
-  // Scatter to the original column space; deleted columns are exact zeros.
+  GS_CHECK_MSG(out.data() != x.data(), "compressed_gemm output aliases x");
+  // Deleted columns are exact zeros; the live ones are overwritten below.
   out.set_zero();
-  for (std::size_t r = 0; r < batch; ++r) {
-    const float* src = product.data() + r * lc;
-    float* dst = out.data() + r * panel.cols;
-    for (std::size_t jj = 0; jj < lc; ++jj) {
-      dst[panel.col_map[jj]] = src[jj];
-    }
-  }
+  if (panel.empty()) return;
+  // Nothing removed: a plain product against the panel, bitwise gemm
+  // against the original matrix.
+  const bool all_live = panel.all_live();
+  kernel::sgemm(
+      x.rows(), panel.live_cols(), panel.live_rows(), 1.0f,
+      kernel::MatrixSource{x.data(), panel.rows, false,
+                           all_live ? nullptr : panel.row_map.data()},
+      kernel::MatrixSource{panel.packed.data(), panel.live_cols()}, 0.0f,
+      kernel::RowMajorStore{out.data(), panel.cols, nullptr,
+                            all_live ? nullptr : panel.col_map.data()});
 }
 
 Tensor compressed_matmul(const Tensor& x, const CompressedPanel& panel) {

@@ -12,11 +12,13 @@
 //   GEMM     og = xg · packed                      (small dense product)
 //   scatter  out(:, col_map[j]) = og(:, j)         (deleted outputs = 0)
 //
-// The GEMM runs through gs::gemm, i.e. the packed/cache-blocked kernel of
-// linalg/gemm_kernel.hpp — compression multiplies a smaller problem through
-// the SAME kernel rather than a different one. When every row and column is
-// live the panel IS the original matrix and compressed_gemm calls gs::gemm
-// directly, so the degenerate case is bitwise identical to the dense path.
+// All three are one call of the packed/cache-blocked kernel of
+// linalg/gemm_kernel.hpp: its A packer reads x through row_map
+// (MatrixSource::live_k) and its write-back stores through col_map
+// (RowMajorStore::cols), so compression multiplies a smaller problem through
+// the SAME kernel and no gathered or compact product is materialised. When
+// every row and column is live the panel IS the original matrix and the call
+// is a plain product, bitwise identical to the dense path.
 //
 // Exactness: when every dropped element is exactly 0.0f (tol = 0 and true
 // zeros, the group-deletion case), dropping it removes only exact-zero terms
@@ -28,8 +30,8 @@
 // caller-owned inputs (the GEMM dispatches over ThreadPool::global() like
 // every gs::gemm call); a CompressedPanel is immutable after construction
 // and safe to share across threads.
-// Determinism: gather/scatter are fixed-order copies and the inner product
-// is gs::gemm, so results are bitwise identical at any thread count.
+// Determinism: the gather and scatter are fixed index maps inside the one
+// kernel, so results are bitwise identical at any thread count.
 #pragma once
 
 #include <cstdint>
@@ -53,7 +55,7 @@ struct CompressedPanel {
   /// No live element at all — the product is identically zero.
   bool empty() const { return row_map.empty() || col_map.empty(); }
   /// Nothing was removed: the panel is the original matrix and
-  /// compressed_gemm degenerates to a plain gs::gemm call.
+  /// compressed_gemm degenerates to a plain product.
   bool all_live() const {
     return row_map.size() == rows && col_map.size() == cols;
   }

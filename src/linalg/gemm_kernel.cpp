@@ -5,6 +5,7 @@
 #include <memory>
 #include <type_traits>
 
+#include "common/check.hpp"
 #include "common/thread_pool.hpp"
 
 namespace gs::kernel {
@@ -160,12 +161,11 @@ void PatchSource::pack_a(std::size_t row0, std::size_t p0, std::size_t mc,
     const std::size_t mr = std::min(kMR, mc - ir);
     Window wins[kMR];
     windows(row0 + ir, mr, wins);
-    bool inside = mr == kMR;
-    for (std::size_t i = 0; i < mr; ++i) inside = inside && wins[i].inside;
-    // Unit-stride neighbours in one image row: each tap is one 8-float run.
-    bool run = inside;
-    for (std::size_t i = 1; i < mr; ++i) {
-      run = run &&
+    // Eight unit-stride windows clear of the padding (stride 1, the panel
+    // within one output row): each tap is one contiguous 8-float run.
+    bool run = mr == kMR;
+    for (std::size_t i = 0; i < mr; ++i) {
+      run = run && wins[i].inside &&
             wins[i].base == wins[0].base + static_cast<std::ptrdiff_t>(i);
     }
     for (std::size_t p = 0; p < kc; ++p) {
@@ -173,10 +173,6 @@ void PatchSource::pack_a(std::size_t row0, std::size_t p0, std::size_t mc,
       if (run) {
         std::memcpy(packed, images_ + wins[0].base + t.offset,
                     kMR * sizeof(float));
-      } else if (inside) {
-        for (std::size_t i = 0; i < kMR; ++i) {
-          packed[i] = images_[wins[i].base + t.offset];
-        }
       } else {
         for (std::size_t i = 0; i < mr; ++i) packed[i] = at(wins[i], t);
         for (std::size_t i = mr; i < kMR; ++i) packed[i] = 0.0f;
@@ -429,16 +425,7 @@ template <class A, class B, class Store>
 void sgemm(std::size_t m, std::size_t n, std::size_t k, float alpha,
            const A& a, const B& b, float beta, const Store& c) {
   if (m == 0 || n == 0) return;
-  if (k == 0) {
-    const Tile zero = {};
-    for (std::size_t jr = 0; jr < n; jr += kNR) {
-      for (std::size_t ir = 0; ir < m; ir += kMR) {
-        store_tile(c, zero, 1.0f, beta, true, true, ir, jr,
-                   std::min(kMR, m - ir), std::min(kNR, n - jr));
-      }
-    }
-    return;
-  }
+  GS_CHECK_MSG(k > 0, "sgemm over sources needs k > 0");
   if (m <= kMC && k > kKC) {
     sgemm_k_panels(m, n, k, alpha, a, b, beta, c);
     return;

@@ -196,9 +196,9 @@ struct ChannelMajorStore {
 
 /// C = alpha·op(A)·op(B) + beta·C over any source pair and store: op(A) is
 /// m×k, op(B) is k×n, C is m×n in the store's layout (before its column
-/// remap). With k == 0 every element is beta·C (+ bias). C must not alias
-/// A or B. Instantiated in gemm_kernel.cpp for the combinations the
-/// library uses.
+/// remap). k must be positive (throws otherwise, unless m or n is 0). C must
+/// not alias A or B. Instantiated in gemm_kernel.cpp for the combinations
+/// the library uses.
 template <class A, class B, class Store>
 void sgemm(std::size_t m, std::size_t n, std::size_t k, float alpha,
            const A& a, const B& b, float beta, const Store& c);

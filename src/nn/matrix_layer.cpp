@@ -200,16 +200,32 @@ Tensor MatrixLayer::forward(const Tensor& input, bool train) {
 
   GS_CHECK_MSG(input.rank() == 4, name_ << ": conv input must be B×C×H×W");
   const std::size_t batch = input.dim(0);
-  geometry_ = conv->geometry({input.dim(1), input.dim(2), input.dim(3)});
+  const Shape chw{input.dim(1), input.dim(2), input.dim(3)};
+  geometry_ = conv->geometry(chw);
   const std::size_t oh = geometry_.out_height();
   const std::size_t ow = geometry_.out_width();
+  const std::size_t positions = oh * ow;
   Tensor output(Shape{batch, f, oh, ow});
-  const auto patches = [&](LiveRows live) {
-    return PatchSource(input.data(), geometry_, false, live);
+  // Samples [b0, b0 + n): their patch rows and their output planes.
+  const auto lower = [&](std::size_t b0, std::size_t n) {
+    const float* images = input.data() + b0 * shape_numel(chw);
+    chain_forward(ms, panels, n * positions,
+                  [&](LiveRows live) {
+                    return PatchSource(images, geometry_, false, live);
+                  },
+                  ChannelMajorStore{output.data() + b0 * f * positions,
+                                    positions, f, bias_.data()},
+                  cache);
   };
-  chain_forward(ms, panels, batch * oh * ow, patches,
-                ChannelMajorStore{output.data(), oh * ow, f, bias_.data()},
-                cache);
+  if (train || ms.size() == 1) {
+    lower(0, batch);
+    return output;
+  }
+  const std::size_t block = std::max<std::size_t>(
+      1, kEvalHiddenFloats / (positions * ms[0].value->cols()));
+  for (std::size_t b0 = 0; b0 < batch; b0 += block) {
+    lower(b0, std::min(block, batch - b0));
+  }
   return output;
 }
 

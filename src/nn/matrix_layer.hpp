@@ -27,7 +27,9 @@
 // gradient, parallel over samples. Eval forwards on a compressed layer run
 // the same products over each panel's live rows and columns. A training
 // forward caches the layer input (and a low-rank layer's middle activation)
-// for backward. runtime::Executor keeps a materialised lowering
+// for backward; an eval forward of a low-rank conv layer runs the batch in
+// blocks of samples so its middle activation stays within
+// kEvalHiddenFloats. runtime::Executor keeps a materialised lowering
 // (tensor/im2col.hpp) because it quantises every patch row.
 #pragma once
 
@@ -79,6 +81,12 @@ class MatrixLayer : public Layer {
   void pack_compressed(float tol = 0.0f);
   void clear_compressed();
   bool compressed() const { return !panels_.empty(); }
+
+  /// Middle-activation floats (1 MiB) an eval forward of a factorised conv
+  /// layer holds at a time: it lowers the batch in blocks of samples whose
+  /// (rows × rank) activation fits. A train forward keeps the whole batch's
+  /// for backward.
+  static constexpr std::size_t kEvalHiddenFloats = std::size_t{1} << 18;
 
   Tensor forward(const Tensor& input, bool train) final;
   Tensor backward(const Tensor& grad_output) final;

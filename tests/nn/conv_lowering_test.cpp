@@ -6,7 +6,7 @@
 // The reference below is a test-local copy of the per-sample loops each
 // layer ran before (an image copy, a fresh im2col tensor, the layer's own
 // GEMM calls, an inline transpose). Outputs and input gradients must match
-// it BITWISE — in train and eval mode, at batches 1 to 100, with padding
+// it BITWISE — in train and eval mode, at batches 1 to 820, with padding
 // and stride 2, with a patch longer than one K panel (LeNet conv2, 500), and
 // on the compressed eval path. Parameter gradients are one product with
 // K = B·oh·ow in the layer, so they match a batched reference (one GEMM over
@@ -360,12 +360,19 @@ INSTANTIATE_TEST_SUITE_P(
                       Case{true, 1, 1, 0}, Case{true, 3, 1, 2},
                       Case{true, 3, 2, 0}, Case{true, 1, 2, 2}));
 
-// Large batches: many GEMM row blocks, and K = B·oh·ow panels for dW.
+// Large batches: many GEMM row blocks, and K = B·oh·ow panels for dW. An
+// eval forward of the low-rank layer at s1_p0 (8×8 positions, rank 5) runs
+// kLowRankBlock samples per block, so the last two cases fill exactly one
+// block and spill one sample into a second.
+constexpr std::size_t kLowRankBlock =
+    MatrixLayer::kEvalHiddenFloats / (8 * 8 * kSmall.rank);
 INSTANTIATE_TEST_SUITE_P(
     Blocks, ConvLowering,
     ::testing::Values(Case{false, 24, 1, 2}, Case{false, 25, 1, 2},
                       Case{false, 100, 1, 2}, Case{true, 54, 1, 0},
-                      Case{true, 55, 1, 0}, Case{true, 100, 1, 0}));
+                      Case{true, 55, 1, 0}, Case{true, 100, 1, 0},
+                      Case{true, kLowRankBlock, 1, 0},
+                      Case{true, kLowRankBlock + 1, 1, 0}));
 
 // The network layers at their training and serving batches. LeNet conv2's
 // 500-long patch takes two K panels: at batch 1 (64 rows) the forward runs
