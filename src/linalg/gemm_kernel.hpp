@@ -84,8 +84,9 @@ inline constexpr std::size_t kNC = 1024;
 //     columns past nc zero-padded.
 
 /// A row-major matrix in memory: op(X)(i, p) = trans ? x[p·ld + i] :
-/// x[i·ld + p]. With `live_k` set (trans == false only), op(X)(i, p) reads
-/// column live_k[p] instead — the live rows of a compressed weight panel.
+/// x[i·ld + p]. With `live_k` set (as op(A), trans == false only),
+/// op(X)(i, p) reads column live_k[p] instead — the live rows of a
+/// compressed weight panel.
 struct MatrixSource {
   const float* data = nullptr;
   std::size_t ld = 0;
